@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="master seed (fixed constant by default: runs are reproducible)",
         )
         p.add_argument("--threads", type=int, default=1, help="worker threads")
-        p.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance knob")
         if out_required:
             p.add_argument("--out", required=True, help="output path")
         else:
@@ -263,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", required=True, help="lo:hi[,lo:hi...] search box")
     p.add_argument("--pitch", type=float, default=0.01, help="confidence-grid pitch")
     p.add_argument("--no-ci", action="store_true")
+    p.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="largest accepted |augmentation coefficient| at the reported root",
+    )
     common(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -329,8 +329,10 @@ class Trajectory:
         object.__setattr__(self, "covariates", tuple(int(v) for v in self.covariates))
         object.__setattr__(self, "treatments", tuple(int(v) for v in self.treatments))
         object.__setattr__(self, "event_time", float(self.event_time))
-        if self.event_time <= 0.0:
-            raise CurveDomainError(f"event time must be positive, got {self.event_time}")
+        if not (math.isfinite(self.event_time) and self.event_time > 0.0):
+            raise CurveDomainError(
+                f"event_time must be positive and finite, got {self.event_time}"
+            )
         if len(self.covariates) != len(self.treatments):
             raise CohortFormatError("covariate and treatment histories differ in length")
         if not self.covariates:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .core import (
     BracketError,
@@ -110,10 +111,24 @@ class TreatmentModelSpec:
         return psi
 
 
+@dataclass(frozen=True)
+class _NullFit:
+    """The treatment model without augmentation: fitted values ``p``, their
+    variances ``w``, the weighted design ``Fw = F * w`` and the history-block
+    information ``i_ff = Fw.T @ F``."""
+
+    theta: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    Fw: np.ndarray
+    i_ff: np.ndarray
+
+
 class _GestData:
     """Person-interval records: one row per (subject, visit) with the visit's
     dose as response.  Built once per cohort; the augmentation column is the
-    only part that changes with the candidate shift parameters."""
+    only part that changes with the candidate shift parameters, so the null
+    treatment fit is made once, on first use, and shared by every candidate."""
 
     def __init__(self, cohort: Cohort, spec: TreatmentModelSpec):
         self.spec = spec
@@ -154,13 +169,28 @@ class _GestData:
     def g_columns(self, psi: np.ndarray | None) -> np.ndarray:
         return self.spec.g.design(self.blipped_times(psi))[self.row_subject]
 
+    @cached_property
+    def null_fit(self) -> _NullFit:
+        theta0, _, _, _ = _logistic_newton(self.F, self.y)
+        p0 = special.expit(self.F @ theta0)
+        w0 = p0 * (1.0 - p0)
+        Fw = self.F * w0[:, None]
+        return _NullFit(theta0, p0, w0, Fw, Fw.T @ self.F)
 
-def _logistic_newton(X: np.ndarray, y: np.ndarray, tol: float = 1e-10, max_iter: int = 120):
+
+def _logistic_newton(
+    X: np.ndarray,
+    y: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 120,
+    start: np.ndarray | None = None,
+):
     """Newton-Raphson logistic MLE; returns (beta, covariance, score_norm, loglik).
 
     Columns are standardized internally so the score-norm stopping rule and
     the Newton steps are scale-free; coefficients and covariance are mapped
-    back exactly.
+    back exactly.  ``start`` (on the scale of ``X``) replaces the zero
+    starting point; the stopping rule is the same either way.
     """
     d = X.shape[1]
     col_scale = X.std(axis=0)
@@ -168,7 +198,7 @@ def _logistic_newton(X: np.ndarray, y: np.ndarray, tol: float = 1e-10, max_iter:
     Xs = X / col_scale
     if np.linalg.matrix_rank(Xs) < d:
         raise NonIdentifiableError(f"design matrix is rank deficient ({d} columns)")
-    beta = np.zeros(d)
+    beta = np.zeros(d) if start is None else np.asarray(start, dtype=float) * col_scale
     eta = Xs @ beta
     ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     for _ in range(max_iter):
@@ -200,7 +230,7 @@ def _logistic_newton(X: np.ndarray, y: np.ndarray, tol: float = 1e-10, max_iter:
             if ll_c >= ll - 1e-9:
                 break
             damp *= 0.5
-        beta, eta, ll = cand, Xs @ cand, ll_c
+        beta, eta, ll = cand, eta_c, ll_c
     if float(np.max(np.abs(beta))) > 30.0:
         raise SeparationError(
             f"logistic likelihood diverges (max |scaled coef| {np.max(np.abs(beta)):.1f}): "
@@ -248,10 +278,16 @@ def _as_vector(psi) -> np.ndarray | None:
     return np.asarray(psi, dtype=float)
 
 
-def _fit_augmented(data: _GestData, psi: np.ndarray | None) -> TreatmentFit:
+def _fit_augmented(
+    data: _GestData, psi: np.ndarray | None, start: np.ndarray | None = None
+) -> TreatmentFit:
+    """Augmented fit at ``psi``, started from ``start`` (the full coefficient
+    vector) or else from the null fit with the augmentation coefficient at 0."""
     G = data.g_columns(psi)
     X = np.column_stack([data.F, G])
-    beta, cov, norm, ll = _logistic_newton(X, data.y)
+    if start is None:
+        start = np.concatenate([data.null_fit.theta, np.zeros(G.shape[1])])
+    beta, cov, norm, ll = _logistic_newton(X, data.y, start=start)
     d_f = data.F.shape[1]
     return TreatmentFit(beta[:d_f], beta[d_f:], cov, norm, ll, len(data.y))
 
@@ -283,15 +319,12 @@ class GTestReport:
 
 
 def _score_test(data: _GestData, psi: np.ndarray | None):
-    theta0, _, _, _ = _logistic_newton(data.F, data.y)
-    p0 = special.expit(data.F @ theta0)
-    w0 = p0 * (1.0 - p0)
+    null = data.null_fit
     G = data.g_columns(psi)
-    U = G.T @ (data.y - p0)
-    i_ff = (data.F * w0[:, None]).T @ data.F
-    i_fg = (data.F * w0[:, None]).T @ G
-    i_gg = (G * w0[:, None]).T @ G
-    V = i_gg - i_fg.T @ np.linalg.solve(i_ff, i_fg)
+    U = G.T @ (data.y - null.p)
+    i_fg = null.Fw.T @ G
+    i_gg = (G * null.w[:, None]).T @ G
+    V = i_gg - i_fg.T @ np.linalg.solve(null.i_ff, i_fg)
     stat = float(U @ np.linalg.solve(V, U))
     return stat, G.shape[1]
 
@@ -310,9 +343,9 @@ def g_test(cohort: Cohort, spec: TreatmentModelSpec, psi0=None) -> GTestReport:
     return GTestReport(
         df=df,
         score=stat,
-        score_p=float(stats.chi2.sf(stat, df)),
+        score_p=float(special.chdtrc(df, stat)),
         wald=wald,
-        wald_p=float(stats.chi2.sf(wald, d)),
+        wald_p=float(special.chdtrc(d, wald)),
         alpha=fit.alpha,
         alpha_se=fit.alpha_se,
         n_records=fit.n_records,
@@ -328,13 +361,10 @@ def score_residuals(cohort: Cohort, spec: TreatmentModelSpec, psi) -> np.ndarray
 
 
 def _h_matrix(data: _GestData, psi: np.ndarray | None) -> np.ndarray:
-    theta0, _, _, _ = _logistic_newton(data.F, data.y)
-    p0 = special.expit(data.F @ theta0)
-    w0 = p0 * (1.0 - p0)
+    null = data.null_fit
     G = data.g_columns(psi)
-    i_ff = (data.F * w0[:, None]).T @ data.F
-    i_fg = (data.F * w0[:, None]).T @ G
-    resid = (data.y - p0)[:, None] * (G - data.F @ np.linalg.solve(i_ff, i_fg))
+    i_fg = null.Fw.T @ G
+    resid = (data.y - null.p)[:, None] * (G - data.F @ np.linalg.solve(null.i_ff, i_fg))
     out = np.zeros((data.n_subjects, G.shape[1]))
     np.add.at(out, data.row_subject, resid)
     return out
@@ -348,16 +378,21 @@ def sandwich_variance(
 ):
     """M-estimator variance of the shift estimate: the second moment of the
     per-subject estimating function over the squared slope of its mean in the
-    candidate parameter, slope by central finite differences (nuisance
-    coefficients refit at each perturbed candidate).
+    candidate parameter, slope by central finite differences.  The nuisance
+    (null treatment) fit does not depend on the candidate, so it is computed
+    once and shared by the estimate and both perturbed candidates.
 
     Returns ``(variance_matrix, se_vector)`` on the active components; the
     standard error already includes the 1/n factor.
     """
-    data = _GestData(cohort, spec)
+    return _sandwich(_GestData(cohort, spec), psi_hat, step)
+
+
+def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
+    spec = data.spec
     active = np.asarray(psi_hat, dtype=float)[list(spec.components)]
     d = len(spec.components)
-    if data.spec.g.dim != d:
+    if spec.g.dim != d:
         raise SnftmError(
             f"just-identification requires {d} augmentation columns, got {spec.g.dim}"
         )
@@ -424,9 +459,12 @@ def estimate_psi(
     """Estimate the free shift components as the root of the fitted
     augmentation coefficient, with a confidence set by test inversion.
 
-    One free component: bracket scan plus bisection.  Several: coarse grid
-    refinement, then a quasi-Newton root search.  All roots found in the box
-    are reported; the one with the smallest residual coefficient is primary.
+    One free component: bracket scan plus Brent's method.  Several: coarse
+    grid refinement, then a quasi-Newton root search.  All roots found in the
+    box are reported; the one with the smallest residual coefficient is
+    primary.  One data object serves the whole call, so the null treatment
+    fit is made once; every augmented fit starts from it, and the
+    confidence-set trace starts each fit from its grid neighbour.
     """
     data = _GestData(cohort, spec)
     d = len(spec.components)
@@ -449,17 +487,9 @@ def estimate_psi(
                 roots.append(a)
                 continue
             if fa * fb < 0.0:
-                x_lo, x_hi, f_lo = a, b, fa
-                while x_hi - x_lo > 1e-10:
-                    mid = 0.5 * (x_lo + x_hi)
-                    fm = _alpha_of(data, spec, np.array([mid]))[0]
-                    if abs(fm) < 0.1 * tol_alpha:
-                        break
-                    if f_lo * fm < 0.0:
-                        x_hi = mid
-                    else:
-                        x_lo, f_lo = mid, fm
-                roots.append(0.5 * (x_lo + x_hi))
+                roots.append(optimize.brentq(
+                    lambda x: _alpha_of(data, spec, np.array([x]))[0], a, b, xtol=1e-10
+                ))
         if vals[-1] == 0.0:
             roots.append(grid[-1])
         if not roots:
@@ -500,18 +530,22 @@ def estimate_psi(
         active_hat = np.asarray(sol.x)
         all_roots = (tuple(float(v) for v in active_hat),)
 
-    _, se = sandwich_variance(cohort, spec, spec.embed(active_hat))
+    _, se = _sandwich(data, spec.embed(active_hat))
 
     if compute_ci and d == 1:
         lo, hi = box[0]
         ci_grid = np.arange(lo, hi + 0.5 * grid_pitch, grid_pitch)
         trace = np.empty(len(ci_grid))
         mask = np.zeros(len(ci_grid), dtype=bool)
+        start = None
         for idx, x in enumerate(ci_grid):
             vec = spec.embed(np.array([x]))
             stat, df = _score_test(data, vec)
-            mask[idx] = stats.chi2.sf(stat, df) >= level
-            trace[idx] = _alpha_of(data, spec, np.array([x]))[0]
+            mask[idx] = special.chdtrc(df, stat) >= level
+            fit = _fit_augmented(data, vec, start)
+            trace[idx] = fit.alpha[0]
+            # the next grid point's fit starts from this one's coefficients
+            start = np.concatenate([fit.theta, fit.alpha])
     else:
         ci_grid = np.zeros((0,))
         mask = np.zeros((0,), dtype=bool)

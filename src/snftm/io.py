@@ -290,6 +290,18 @@ def load_regime(path, n_visits: int) -> TreatmentRegime:
     return regime_from_dict(_load_json(path), n_visits)
 
 
+def _knots_from_list(raw) -> tuple[float, ...]:
+    try:
+        knots = tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        raise CohortFormatError(f"g.knots must be a list of numbers, got {raw!r}") from None
+    if any(not (math.isfinite(k) and k > 0.0) for k in knots) or any(
+        b <= a for a, b in zip(knots, knots[1:])
+    ):
+        raise CohortFormatError(f"g.knots must be positive and strictly increasing, got {list(knots)}")
+    return knots
+
+
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     g = d.get("g", {})
     clip = g.get("clip")
@@ -299,6 +311,7 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
             clip=tuple(clip) if clip else None,
             log=bool(g.get("log", False)),
             powers=int(g.get("powers", 1)),
+            knots=_knots_from_list(g.get("knots") or ()),
         ),
         components=tuple(d.get("components", (0,))),
         psi_dim=int(d.get("psi_dim", 3)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .core import (
     Cohort,
@@ -373,11 +373,11 @@ def test_null(cohort: Cohort, fitted: MleFit, restricted: MleFit | None = None) 
     return MleTestReport(
         df=d,
         lr=lr,
-        lr_p=float(stats.chi2.sf(lr, d)),
+        lr_p=float(special.chdtrc(d, lr)),
         wald=wald,
-        wald_p=float(stats.chi2.sf(wald, d)),
+        wald_p=float(special.chdtrc(d, wald)),
         score=score,
-        score_p=float(stats.chi2.sf(score, d)),
+        score_p=float(special.chdtrc(d, score)),
         loglik_full=fitted.loglik,
         loglik_null=restricted.loglik,
     )

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,28 @@ def test_simulate_estimate_cfsim_pipeline_reproduces_ordering(tmp_path):
     exact_never = world.counterfactual_mean(TreatmentRegime.baseline(2))
     exact_always = world.counterfactual_mean(TreatmentRegime.static((1, 1)))
     assert (means["regime_never"] > means["regime_always"]) == (exact_never > exact_always)
+
+
+def test_tol_only_on_estimate(tmp_path):
+    cohort = tmp_path / "c.csv"
+    run_cli("simulate", "--dgp", CONFIGS / "demo_dgp.json", "--n", 1000, "--out", cohort)
+    spec = CONFIGS / "treatment_model.json"
+    assert run_cli("gtest", "--cohort", cohort, "--spec", spec, "--tol", "1e-3") == 2
+    common = ("estimate", "--cohort", cohort, "--spec", spec, "--box=-1.5:0.5", "--no-ci")
+    assert run_cli(*common, "--tol", "1e-5", "--out", tmp_path / "e.json") == 0
+    # a zero tolerance cannot be met by any numerical root: estimate reads it
+    assert run_cli(*common, "--tol", "0", "--out", tmp_path / "z.json") == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, snftm.cli; sys.exit('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_domain_error_exit_code(tmp_path):

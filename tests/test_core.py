@@ -121,6 +121,9 @@ class TestTrajectoryCohort:
     def test_validation(self):
         with pytest.raises(CurveDomainError):
             Trajectory((0,), (0,), 0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(CurveDomainError, match="event_time"):
+                Trajectory((0,), (0,), bad)
         with pytest.raises(CohortFormatError):
             Trajectory((0, 1), (0,), 1.0)
         with pytest.raises(CohortFormatError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from snftm import dgp, gest
 from snftm.core import (
@@ -158,3 +159,84 @@ class TestSandwich:
         )
         with pytest.raises(WeakIdentificationError):
             gest.sandwich_variance(cohort, spec, (0.0, 0.0, 0.0))
+
+
+def _score_test_refit(data, psi):
+    """The score statistic with the null treatment model refit from scratch,
+    independent of the cached null fit."""
+    theta0, _, _, _ = gest._logistic_newton(data.F, data.y)
+    p0 = special.expit(data.F @ theta0)
+    w0 = p0 * (1.0 - p0)
+    G = data.g_columns(psi)
+    U = G.T @ (data.y - p0)
+    i_ff = (data.F * w0[:, None]).T @ data.F
+    i_fg = (data.F * w0[:, None]).T @ G
+    i_gg = (G * w0[:, None]).T @ G
+    V = i_gg - i_fg.T @ np.linalg.solve(i_ff, i_fg)
+    return float(U @ np.linalg.solve(V, U)), G.shape[1]
+
+
+def _cold_alpha(data, psi):
+    """Augmentation coefficient from a fit started at zero."""
+    X = np.column_stack([data.F, data.g_columns(psi)])
+    beta, _, _, _ = gest._logistic_newton(X, data.y)
+    return beta[data.F.shape[1]:]
+
+
+class TestSharedNullFit:
+    """The null treatment fit is made once per data object and reused by every
+    candidate; results must match from-scratch fits."""
+
+    TOL_ALPHA = 1e-6
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        return dgp.sample_cohort(make_config(psi0=(0.7, 0.0, 0.0)), 3000, seed=71)
+
+    @pytest.fixture(scope="class")
+    def estimate(self, cohort):
+        return gest.estimate_psi(
+            cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.05, tol_alpha=self.TOL_ALPHA
+        )
+
+    def test_score_test_matches_refit(self, cohort):
+        data = gest._GestData(cohort, SPEC)
+        for psi in (None, (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.7, 0.0, 0.0), (1.3, 0.0, 0.0)):
+            vec = None if psi is None else np.asarray(psi)
+            stat, df = gest._score_test(data, vec)
+            ref, df_ref = _score_test_refit(data, vec)
+            assert df == df_ref == 1
+            assert abs(stat - ref) <= 1e-12 * abs(ref)
+
+    def test_warm_trace_matches_cold_fits(self, cohort, estimate):
+        data = gest._GestData(cohort, SPEC)
+        cold = [_cold_alpha(data, SPEC.embed([x]))[0] for x in estimate.ci_grid]
+        np.testing.assert_allclose(estimate.alpha_trace, cold, rtol=0.0, atol=1e-9)
+
+    def test_ci_mask_matches_refit_loop(self, cohort, estimate):
+        data = gest._GestData(cohort, SPEC)
+        mask = []
+        for x in estimate.ci_grid:
+            stat, df = _score_test_refit(data, SPEC.embed([x]))
+            mask.append(stats.chi2.sf(stat, df) >= 0.05)
+        np.testing.assert_array_equal(estimate.ci_mask, mask)
+        assert estimate.ci_mask.any() and not estimate.ci_mask.all()
+
+    def test_root_is_tight(self, cohort, estimate):
+        data = gest._GestData(cohort, SPEC)
+        assert abs(_cold_alpha(data, estimate.psi)[0]) <= 0.1 * self.TOL_ALPHA
+
+    def test_one_null_fit_per_estimate(self, cohort, monkeypatch):
+        F = gest._GestData(cohort, SPEC).F
+        newton = gest._logistic_newton
+        null_fits = []
+
+        def counting(X, y, *args, **kwargs):
+            if X.shape == F.shape and np.array_equal(X, F):
+                null_fits.append(X)
+            return newton(X, y, *args, **kwargs)
+
+        monkeypatch.setattr(gest, "_logistic_newton", counting)
+        est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
+        assert len(est.ci_grid) > 1
+        assert len(null_fits) == 1

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from snftm import dgp, io
-from snftm.core import CohortFormatError, apply_regime
+from pathlib import Path
+
+from snftm import dgp, gest, io
+from snftm.core import CohortFormatError, SnftmError, apply_regime
 
 from conftest import make_config
 
@@ -110,3 +112,14 @@ def test_atomic_write_replaces_not_partial(tmp_path):
     io.atomic_write_text(p, "second")
     assert p.read_text() == "second"
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_treatment_spec_knots():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert io.load_treatment_spec(configs / "treatment_model.json") == gest.TreatmentModelSpec()
+    spec = io.treatment_spec_from_dict({"g": {"knots": [1.2]}, "components": [0, 2]})
+    assert spec.g == gest.GFeature(knots=(1.2,))
+    assert spec.g.dim == 2
+    for bad in ([1.2, 1.2], [2.0, 1.0], [0.0], [-1.0], ["soon"], 1.2):
+        with pytest.raises(SnftmError, match="g.knots"):
+            io.treatment_spec_from_dict({"g": {"knots": bad}})
