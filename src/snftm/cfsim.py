@@ -9,6 +9,7 @@ survival law; built from exact structural ingredients it reproduces it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,7 +25,7 @@ from .core import (
     UndefinedCellError,
 )
 from .dgp import DgpConfig
-from .shift import BlipTable, ShiftModel, ShiftParams, default_features, gamma_inv
+from .shift import BlipTable, ShiftModel, ShiftParams, default_features, walk_up
 
 __all__ = ["FittedWorld", "CfSimResult", "simulate_counterfactual"]
 
@@ -47,7 +48,7 @@ class FittedWorld:
     features: object = default_features
 
     def bin_index(self, t0: float) -> int:
-        return int(np.searchsorted(np.asarray(self.thresholds), t0, side="left"))
+        return bisect.bisect_left(self.thresholds, t0)
 
     def draw_baseline(self, u: float) -> float:
         """Inverse-distribution draw from the baseline, ``u`` uniform in [0, 1)."""
@@ -115,22 +116,11 @@ class CfSimResult:
         return zip(self.t_grid, self.survival, self.stderr)
 
 
-def _draw(probs: np.ndarray, u: float) -> int:
-    acc = 0.0
-    for code, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return code
-    return len(probs) - 1
-
-
 def _one_draw(world: FittedWorld, regime: TreatmentRegime, model: ShiftModel, uniforms):
     t0 = world.draw_baseline(uniforms[0])
     b = world.bin_index(t0)
-    lbar: tuple[int, ...] = ()
-    abar: tuple[int, ...] = ()
-    v = t0
-    for k in range(world.grid.K + 1):
+
+    def draw(k, lbar, abar):
         key = (k, b, lbar, abar)
         probs = world.covariate_laws.get(key)
         if probs is None:
@@ -138,12 +128,10 @@ def _one_draw(world: FittedWorld, regime: TreatmentRegime, model: ShiftModel, un
                 f"no covariate law for cell {key}; the fitted world has no data "
                 "for this regime-consistent history"
             )
-        lbar += (_draw(probs, uniforms[1 + k]),)
-        abar += (int(regime.rules[k](lbar)),)
-        v = gamma_inv(model, k, lbar, abar, v)
-        if v <= world.grid.next_tau(k):
-            return v, lbar, abar
-    raise AssertionError("unreachable: the last interval is unbounded")
+        l_k = _rng.categorical(probs, uniforms[1 + k])
+        return l_k, int(regime.rules[k](lbar + (l_k,)))
+
+    return walk_up(model, t0, draw)
 
 
 def simulate_counterfactual(

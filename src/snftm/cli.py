@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +22,10 @@ from . import io as io_mod
 from . import mle as mle_mod
 from . import oracle as oracle_mod
 from . import rng as rng_mod
-from .core import Cohort, SnftmError
+from .core import SnftmError
 from .shift import ShiftParams
 
 SCHEMA_VERSION = io_mod.SCHEMA_VERSION
-_CHUNK = 1024
 
 
 def _log_run(sub: str, args: argparse.Namespace):
@@ -59,23 +57,9 @@ def _parse_psi(text: str) -> ShiftParams:
     return ShiftParams(tuple(float(v) for v in text.split(",")))
 
 
-def _chunked(n: int):
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-
 def _cmd_simulate(args) -> int:
     cfg = io_mod.load_dgp_config(args.dgp)
-    uniforms = rng_mod.stream(args.seed, "dgp").random((args.n, cfg.draws_per_subject))
-    model = cfg.shift_model()
-
-    def assemble(span):
-        lo, hi = span
-        return [dgp_mod._assemble(cfg, model, uniforms[i]) for i in range(lo, hi)]
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        pieces = list(pool.map(assemble, _chunked(args.n)))
-    subjects = tuple(t for piece in pieces for t in piece)
-    cohort = Cohort(subjects, cfg.grid)
+    cohort = dgp_mod.sample_cohort(cfg, args.n, seed=args.seed)
     io_mod.write_cohort(
         args.out, cohort,
         covariate_levels=cfg.covariate_law.levels,
@@ -229,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=rng_mod.DEFAULT_SEED,
             help="master seed (fixed constant by default: runs are reproducible)",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; has no effect",
+        )
         if out_required:
             p.add_argument("--out", required=True, help="output path")
         else:

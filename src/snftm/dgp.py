@@ -11,6 +11,7 @@ makes every downstream identity checkable without tolerance games.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .core import (
     Trajectory,
     UndefinedCellError,
 )
-from .shift import ShiftModel, ShiftParams, gamma_inv
+from .shift import ShiftModel, ShiftParams, walk_up
 
 __all__ = [
     "CovariateLaw",
@@ -233,7 +234,7 @@ class DgpConfig:
         return len(self.thresholds) + 1
 
     def bin_index(self, t0: float) -> int:
-        return int(np.searchsorted(np.asarray(self.thresholds), t0, side="left"))
+        return bisect.bisect_left(self.thresholds, t0)
 
     def shift_model(self, psi: ShiftParams | None = None) -> ShiftModel:
         return ShiftModel(psi if psi is not None else self.psi0, self.grid)
@@ -243,28 +244,17 @@ class DgpConfig:
         return 1 + 2 * (self.grid.K + 1)
 
 
-def _draw(probs: np.ndarray, u: float) -> int:
-    acc = 0.0
-    for code, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return code
-    return len(probs) - 1
-
-
 def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
     t0 = cfg.baseline.quantile(1.0 - uniforms[0])
     b = cfg.bin_index(t0)
-    lbar: tuple[int, ...] = ()
-    abar: tuple[int, ...] = ()
-    v = t0
-    for k in range(cfg.grid.K + 1):
-        lbar += (_draw(cfg.covariate_law.probs(k, b, lbar, abar), uniforms[1 + 2 * k]),)
-        abar += (_draw(cfg.treatment_law.probs(k, lbar, abar), uniforms[2 + 2 * k]),)
-        v = gamma_inv(model, k, lbar, abar, v)
-        if v <= cfg.grid.next_tau(k):
-            return Trajectory(lbar, abar, v)
-    raise AssertionError("unreachable: the last interval is unbounded")
+
+    def draw(k, lbar, abar):
+        l_k = _rng.categorical(cfg.covariate_law.probs(k, b, lbar, abar), uniforms[1 + 2 * k])
+        a_k = _rng.categorical(cfg.treatment_law.probs(k, lbar + (l_k,), abar), uniforms[2 + 2 * k])
+        return l_k, a_k
+
+    t, lbar, abar = walk_up(model, t0, draw)
+    return Trajectory(lbar, abar, t)
 
 
 def sample_trajectory(cfg: DgpConfig, rng: np.random.Generator) -> Trajectory:

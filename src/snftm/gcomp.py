@@ -179,9 +179,10 @@ class McGcompResult:
 
 
 def _simulate_path(laws: ConditionalLaws, regime: TreatmentRegime, uniforms) -> float:
+    # Not shift.walk_up: this inverts the interval-survival curves and evaluates no shift map.
     grid = laws.grid
     start = laws.transition(0, (), ())
-    lbar = (_draw_code(start, uniforms[0]),)
+    lbar = (_rng.categorical(start, uniforms[0]),)
     m, pos = 1, 1
     while True:
         abar = apply_regime(regime, lbar)
@@ -190,20 +191,11 @@ def _simulate_path(laws: ConditionalLaws, regime: TreatmentRegime, uniforms) -> 
         pos += 1
         if m <= grid.K and u < curve.eval(grid.tau(m)):
             trans = laws.transition(m, lbar, abar)
-            lbar += (_draw_code(trans, uniforms[pos]),)
+            lbar += (_rng.categorical(trans, uniforms[pos]),)
             pos += 1
             m += 1
         else:
             return curve.quantile(u)
-
-
-def _draw_code(probs, u: float) -> int:
-    acc = 0.0
-    for code, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return code
-    return len(probs) - 1
 
 
 def mc_gcomp(

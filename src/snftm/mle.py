@@ -13,6 +13,7 @@ fitting reduces to a low-dimensional search over the profile likelihood.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -30,7 +31,7 @@ from .core import (
     TimeGrid,
     Trajectory,
 )
-from .shift import BlipTable, ShiftModel, ShiftParams, default_features, gamma, gamma_deriv
+from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, default_features, gamma_deriv
 
 __all__ = ["ParametricModel", "MleFit", "MleTestReport", "log_density", "fit", "profile_at", "test_null"]
 
@@ -66,7 +67,7 @@ class ParametricModel:
         )
 
     def bin_index(self, t0: float) -> int:
-        return int(np.searchsorted(np.asarray(self.bins), t0, side="left"))
+        return bisect.bisect_left(self.bins, t0)
 
     def baseline_curve(self) -> SurvivalCurve:
         return SurvivalCurve(self.baseline_bounds, self.baseline_rates)
@@ -75,9 +76,10 @@ class ParametricModel:
 def log_density(model: ParametricModel, traj: Trajectory) -> float:
     """Log density of one record under the model (treatment factors omitted).
 
-    The Jacobian is accumulated as the chain-rule product of the per-visit
-    map derivatives along the blip-down composition; at breakpoints the
-    right-continuous convention applies (a probability-zero set).
+    The Jacobian is the derivative of the innermost map at ``T``: every outer
+    map of the blip-down composition acts past its own breakpoint, where its
+    derivative is 1.  At breakpoints the right-continuous convention applies
+    (a probability-zero set).
     """
     grid = model.grid
     p = grid.interval_index(traj.event_time)
@@ -86,13 +88,8 @@ def log_density(model: ParametricModel, traj: Trajectory) -> float:
             f"record has {traj.n_visits} visits but the event time implies {p + 1}"
         )
     shift_model = ShiftModel(model.psi, grid, model.features)
-    log_jac = 0.0
-    t = traj.event_time
-    for m in range(p, -1, -1):
-        lbar, abar = traj.covariates[: m + 1], traj.treatments[: m + 1]
-        log_jac += math.log(gamma_deriv(shift_model, m, lbar, abar, t))
-        t = gamma(shift_model, m, lbar, abar, t)
-    t0 = t
+    t0 = blip_down(shift_model, traj)
+    log_jac = math.log(gamma_deriv(shift_model, p, traj.covariates, traj.treatments, traj.event_time))
     base = model.baseline_curve()
     if base.hazard_at(t0) == 0.0:
         raise StructuralZeroError(f"blipped-down time {t0} falls in a zero-rate piece")
@@ -276,7 +273,10 @@ class MleFit:
 def profile_at(cohort: Cohort, model: ParametricModel, psi) -> MleFit:
     """The restricted fit with the shift parameters pinned at ``psi``:
     nuisance blocks at their closed-form maximizers, no search."""
-    tables = _ProfileTables(cohort, model)
+    return _pinned_fit(_ProfileTables(cohort, model), model, psi)
+
+
+def _pinned_fit(tables: _ProfileTables, model: ParametricModel, psi) -> MleFit:
     psi = np.asarray(psi, dtype=float)
     ll, rates, grouped = tables.profile(psi)
     fitted = _finalize_model(model, tables, psi, rates, grouped)
@@ -353,8 +353,9 @@ def test_null(cohort: Cohort, fitted: MleFit, restricted: MleFit | None = None) 
     """Wald, score and likelihood-ratio tests of "no treatment effect"
     (shift parameters all zero) against the fitted model."""
     d = len(fitted.model.psi.psi)
+    tables = _ProfileTables(cohort, fitted.model)
     if restricted is None:
-        restricted = profile_at(cohort, fitted.model, np.zeros(d))
+        restricted = _pinned_fit(tables, fitted.model, np.zeros(d))
     lr = 2.0 * (fitted.loglik - restricted.loglik)
     if lr < -1e-8:
         raise ConvergenceError(
@@ -365,7 +366,6 @@ def test_null(cohort: Cohort, fitted: MleFit, restricted: MleFit | None = None) 
     psi_hat = np.asarray(fitted.model.psi.psi)
     wald = float(psi_hat @ fitted.information @ psi_hat)
 
-    tables = _ProfileTables(cohort, fitted.model)
     neg = lambda psi: -tables.profile(psi)[0]
     grad0, info0 = _observed_information(neg, np.zeros(d), tables.n)
     score_vec = -grad0

@@ -44,3 +44,15 @@ def stream(seed: int, *path) -> np.random.Generator:
 def substream_key(*path) -> tuple[int, ...]:
     """The spawn key for ``path``, for callers that batch stream creation."""
     return tuple(w for c in path for w in _words(c))
+
+
+def categorical(probs, u: float) -> int:
+    """Inverse-CDF draw of a code from ``probs`` at ``u`` uniform in [0, 1).
+    A ``u`` past a cumulative sum rounded below 1 gets the last code with
+    positive probability, never a trailing zero-probability one."""
+    acc = 0.0
+    for code, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return code
+    return max((code for code, p in enumerate(probs) if p > 0.0), default=len(probs) - 1)

@@ -13,8 +13,9 @@ baseline dose ``a_k = 0``) gives the identity, i.e. no treatment effect.
 
 ``blip_down`` composes the maps innermost-at-death to recover the time a
 subject would have shown with treatment stopped at a given visit;
-``blip_up`` inverts that construction, turning a never-treated time into
-the time under a supplied history.
+``walk_up`` inverts that construction visit by visit, turning a
+never-treated time into the time under histories supplied one visit at a
+time; ``blip_up`` runs it on recorded histories.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "gamma_deriv",
     "blip_down",
     "blip_up",
+    "walk_up",
     "BlipTable",
 ]
 
@@ -149,25 +151,46 @@ def blip_down(model: ShiftModel, traj: Trajectory, upto: int = 0) -> float:
     return t
 
 
-def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
-    """Sequentially re-apply treatment effects to a never-treated time ``t0``.
+def walk_up(model: ShiftModel, t0: float, visit) -> tuple[float, tuple, tuple]:
+    """Walk the visits from a never-treated time ``t0`` to an observed one.
 
-    Walks the intervals applying inverse shift maps until the candidate time
-    settles inside the current interval; the histories must extend at least
-    that far.
+    At each visit ``k`` the caller's ``visit(k, lbar, abar)`` sees the
+    histories through visit ``k - 1`` and returns ``(l_k, a_k)``; the walk
+    appends them and applies the inverse shift map of visit ``k`` to the
+    candidate time.  It stops at the first interval ``(tau_k, tau_{k+1}]``
+    that holds the candidate and returns ``(t, lbar, abar)`` with histories
+    through that visit.  This is the one rank-preserving forward step shared
+    by the data generator, the counterfactual sampler and :func:`blip_up`.
     """
+    grid = model.grid
+    lbar: tuple[int, ...] = ()
+    abar: tuple[int, ...] = ()
+    t = t0
+    for k in range(grid.K + 1):
+        l_k, a_k = visit(k, lbar, abar)
+        lbar += (l_k,)
+        abar += (a_k,)
+        t = gamma_inv(model, k, lbar, abar, t)
+        if t <= grid.next_tau(k):
+            return t, lbar, abar
+    raise AssertionError("unreachable: the last interval is unbounded")
+
+
+def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
+    """Re-apply the treatment effects of recorded histories to a never-treated
+    time ``t0`` (:func:`walk_up`); the histories must reach the visit where
+    the candidate time settles."""
     if not t0 > 0.0:
         raise CurveDomainError(f"baseline time must be positive, got {t0}")
-    v = t0
-    for k in range(model.grid.K + 1):
+
+    def recorded(k, _lbar, _abar):
         if k >= len(lbar) or k >= len(abar):
             raise InsufficientHistoryError(
-                f"candidate time {v} still past visit {k} but histories end at {min(len(lbar), len(abar))}"
+                f"blip-up of {t0} still past visit {k} but histories end at {min(len(lbar), len(abar))}"
             )
-        v = gamma_inv(model, k, lbar[: k + 1], abar[: k + 1], v)
-        if v <= model.grid.next_tau(k):
-            return v
-    raise AssertionError("unreachable: the last interval is unbounded")
+        return lbar[k], abar[k]
+
+    return walk_up(model, t0, recorded)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,246 @@
+"""The shared forward walk and categorical draw against the loops they replaced.
+
+Each ``_reference_*`` function below is the per-module settle loop as it
+stood before ``shift.walk_up`` existed; the adapters must reproduce it
+bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snftm import cfsim, dgp, mle
+from snftm.core import (
+    InsufficientHistoryError,
+    SnftmError,
+    SurvivalCurve,
+    TimeGrid,
+    Trajectory,
+    TreatmentRegime,
+    UndefinedCellError,
+)
+from snftm.rng import categorical
+from snftm.shift import ShiftModel, ShiftParams, blip_up, gamma, gamma_deriv, gamma_inv
+
+from conftest import make_config, make_smooth_null_config
+
+PSI = st.tuples(*(st.floats(-1.5, 1.5) for _ in range(3)))
+UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
+THRESHOLDS = st.sampled_from([(1.5,), (0.4, 1.0, 2.5), (1.0,), ()])
+REGIMES = (
+    TreatmentRegime.baseline(3),
+    TreatmentRegime.static((1, 1, 1)),
+    TreatmentRegime.threshold(3, level=1),
+)
+
+
+def three_visit_config(psi0, thresholds):
+    grid = TimeGrid((0.0, 0.7, 1.6))
+    baseline = SurvivalCurve((0.0, 1.0, 2.0), (0.6, 0.4, 0.3))
+    cov = dgp.CovariateLaw.from_logistic(
+        3, len(thresholds) + 1, intercept=-0.2, bin_coef=-0.8, l_prev_coef=0.7, a_prev_coef=-0.4
+    )
+    trt = dgp.TreatmentLaw.from_logistic(3, intercept=-0.5, l_coef=1.1, a_prev_coef=0.9)
+    return dgp.DgpConfig(grid, baseline, thresholds, cov, trt, ShiftParams(psi0))
+
+
+def world_config(psi, thresholds, three_visits):
+    if three_visits:
+        return three_visit_config(psi, thresholds)
+    return make_config(psi0=psi, thresholds=thresholds)
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the class of the package error it raises."""
+    try:
+        return f(*args)
+    except SnftmError as e:
+        return type(e)
+
+
+def _reference_draw(probs, u):
+    acc = 0.0
+    for code, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return code
+    return len(probs) - 1
+
+
+def _reference_assemble(cfg, model, uniforms):
+    t0 = cfg.baseline.quantile(1.0 - uniforms[0])
+    b = int(np.searchsorted(np.asarray(cfg.thresholds), t0, side="left"))
+    lbar, abar, v = (), (), t0
+    for k in range(cfg.grid.K + 1):
+        lbar += (_reference_draw(cfg.covariate_law.probs(k, b, lbar, abar), uniforms[1 + 2 * k]),)
+        abar += (_reference_draw(cfg.treatment_law.probs(k, lbar, abar), uniforms[2 + 2 * k]),)
+        v = gamma_inv(model, k, lbar, abar, v)
+        if v <= cfg.grid.next_tau(k):
+            return Trajectory(lbar, abar, v)
+    raise AssertionError("unreachable")
+
+
+def _reference_one_draw(world, regime, model, uniforms):
+    t0 = world.draw_baseline(uniforms[0])
+    b = int(np.searchsorted(np.asarray(world.thresholds), t0, side="left"))
+    lbar, abar, v = (), (), t0
+    for k in range(world.grid.K + 1):
+        key = (k, b, lbar, abar)
+        probs = world.covariate_laws.get(key)
+        if probs is None:
+            raise UndefinedCellError(f"no covariate law for cell {key}")
+        lbar += (_reference_draw(probs, uniforms[1 + k]),)
+        abar += (int(regime.rules[k](lbar)),)
+        v = gamma_inv(model, k, lbar, abar, v)
+        if v <= world.grid.next_tau(k):
+            return v, lbar, abar
+    raise AssertionError("unreachable")
+
+
+def _reference_blip_up(model, t0, lbar, abar):
+    v = t0
+    for k in range(model.grid.K + 1):
+        if k >= len(lbar) or k >= len(abar):
+            raise InsufficientHistoryError("histories too short")
+        v = gamma_inv(model, k, lbar[: k + 1], abar[: k + 1], v)
+        if v <= model.grid.next_tau(k):
+            return v
+    raise AssertionError("unreachable")
+
+
+def _reference_log_density(model, traj):
+    shift_model = ShiftModel(model.psi, model.grid, model.features)
+    log_jac, t = 0.0, traj.event_time
+    for m in range(len(traj.covariates) - 1, -1, -1):
+        lbar, abar = traj.covariates[: m + 1], traj.treatments[: m + 1]
+        log_jac += math.log(gamma_deriv(shift_model, m, lbar, abar, t))
+        t = gamma(shift_model, m, lbar, abar, t)
+    total = log_jac + model.baseline_curve().log_density(t)
+    b = int(np.searchsorted(np.asarray(model.bins), t, side="left"))
+    for k in range(len(traj.covariates)):
+        probs = model.covariate_probs[(k, traj.covariates[:k], traj.treatments[:k], b)]
+        total += math.log(probs[traj.covariates[k]])
+    return total
+
+
+class TestCategorical:
+    def test_matches_reference_draw(self):
+        probs = np.array([0.2, 0.5, 0.3])
+        for u in np.linspace(0.0, 1.0, 101, endpoint=False):
+            assert categorical(probs, u) == _reference_draw(probs, u)
+
+    def test_fallback_skips_trailing_zero_probability_code(self):
+        probs = [0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0]
+        assert sum(probs) == 0.9999999999999999
+        dgp.CovariateLaw((4,), {(0, 0, (), ()): probs})  # the validator accepts it
+        u = np.nextafter(1.0, 0.0)
+        assert _reference_draw(probs, u) == 3
+        assert categorical(probs, u) == 2
+        assert categorical(np.asarray(probs), u) == 2
+
+
+@given(
+    psi=PSI,
+    thresholds=THRESHOLDS,
+    three_visits=st.booleans(),
+    uniforms=st.lists(UNIFORM, min_size=7, max_size=7),
+)
+@settings(max_examples=300, deadline=None)
+def test_assemble_matches_reference_loop(psi, thresholds, three_visits, uniforms):
+    cfg = world_config(psi, thresholds, three_visits)
+    u = np.asarray(uniforms[: cfg.draws_per_subject])
+    model = cfg.shift_model()
+    assert outcome(dgp._assemble, cfg, model, u) == outcome(_reference_assemble, cfg, model, u)
+
+
+@given(
+    psi=PSI,
+    thresholds=THRESHOLDS,
+    three_visits=st.booleans(),
+    regime=st.integers(0, len(REGIMES) - 1),
+    uniforms=st.lists(UNIFORM, min_size=4, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_draw_matches_reference_loop(psi, thresholds, three_visits, regime, uniforms):
+    cfg = world_config(psi, thresholds, three_visits)
+    world = cfsim.FittedWorld.from_dgp_config(cfg)
+    model = ShiftModel(world.psi, world.grid)
+    u = uniforms[: world.grid.K + 2]
+    args = (world, REGIMES[regime], model, u)
+    assert outcome(cfsim._one_draw, *args) == outcome(_reference_one_draw, *args)
+
+
+def test_one_draw_keeps_the_undefined_cell_message(rich_config):
+    world = cfsim.FittedWorld.from_dgp_config(rich_config)
+    sparse = cfsim.FittedWorld(
+        world.grid, world.psi, world.thresholds, world.baseline,
+        {key: v for key, v in world.covariate_laws.items() if key[0] == 0},
+    )
+    model = ShiftModel(world.psi, world.grid)
+    regime = TreatmentRegime.static((0, 0))
+    with pytest.raises(UndefinedCellError, match="no data for this regime-consistent history"):
+        cfsim._one_draw(sparse, regime, model, [0.99, 0.5, 0.5])
+
+
+@given(
+    psi=PSI,
+    t0=st.floats(0.01, 8.0),
+    lbar=st.lists(st.integers(0, 1), min_size=0, max_size=3),
+    abar=st.lists(st.integers(0, 2), min_size=0, max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_blip_up_matches_reference_loop(psi, t0, lbar, abar):
+    model = ShiftModel(ShiftParams(psi), TimeGrid((0.0, 1.0, 2.0)))
+    assert outcome(blip_up, model, t0, lbar, abar) == outcome(
+        _reference_blip_up, model, t0, tuple(lbar), tuple(abar)
+    )
+
+
+@given(psi=PSI, seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_log_density_matches_reference_loop(psi, seed):
+    cfg = make_config()
+    cohort = dgp.sample_cohort(cfg, 60, seed=seed)
+    template = mle.ParametricModel.template(cfg.grid, (0.0, 1.0, 2.0), cfg.thresholds)
+    model = mle.profile_at(cohort, template, np.asarray(psi)).model
+    for traj in cohort:
+        assert mle.log_density(model, traj) == _reference_log_density(model, traj)
+
+
+@given(t0=st.one_of(st.floats(-1.0, 4.0), st.sampled_from([0.4, 1.0, 1.5, 2.5])))
+@settings(max_examples=200, deadline=None)
+def test_bin_index_matches_searchsorted_left(t0):
+    for thresholds in ((1.5,), (0.4, 1.0, 2.5), ()):
+        want = int(np.searchsorted(np.asarray(thresholds), t0, side="left"))
+        cfg = make_config(thresholds=thresholds)
+        world = cfsim.FittedWorld.from_dgp_config(cfg)
+        model = mle.ParametricModel.template(cfg.grid, (0.0,), thresholds)
+        assert cfg.bin_index(t0) == world.bin_index(t0) == model.bin_index(t0) == want
+
+
+def test_bin_index_on_a_threshold_goes_left():
+    cfg = make_config(thresholds=(0.4, 1.0, 2.5))
+    assert [cfg.bin_index(t) for t in (0.4, 1.0, 2.5, np.float64(1.0))] == [0, 1, 2, 1]
+
+
+def test_fit_and_test_null_build_profile_tables_twice(monkeypatch):
+    cfg = make_smooth_null_config()
+    cohort = dgp.sample_cohort(cfg, 1000, seed=2)
+    template = mle.ParametricModel.template(cfg.grid, (0.0, 1.0, 2.0), (1.5,))
+    builds = []
+    original = mle._ProfileTables.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(mle._ProfileTables, "__init__", counting)
+    fitted = mle.fit(cohort, template)
+    report = mle.test_null(cohort, fitted)
+    assert len(builds) == 2
+
+    restricted = mle.profile_at(cohort, fitted.model, np.zeros(3))
+    assert report == mle.test_null(cohort, fitted, restricted=restricted)
