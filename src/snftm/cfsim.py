@@ -81,17 +81,8 @@ class FittedWorld:
         blip = BlipTable.from_cohort(cohort, features)
         t0s = blip.t0(psi.as_array())
         bins = np.searchsorted(np.asarray(thresholds), t0s, side="left")
-        counts: dict = {}
-        levels = [0] * (cohort.grid.K + 1)
-        for traj in cohort:
-            for k, l in enumerate(traj.covariates):
-                levels[k] = max(levels[k], l + 1)
-        for i, traj in enumerate(cohort):
-            for k in range(traj.n_visits):
-                key = (k, int(bins[i]), traj.covariates[:k], traj.treatments[:k])
-                vec = counts.setdefault(key, np.zeros(levels[k]))
-                vec[traj.covariates[k]] += 1.0
-        laws = {key: vec / vec.sum() for key, vec in counts.items()}
+        frequencies = cohort.index.cell_frequencies(bins, len(thresholds) + 1)
+        laws = {(k, b, lbar, abar): law for ((k, lbar, abar), b), law in frequencies.items()}
         return cls(
             grid=cohort.grid,
             psi=psi,

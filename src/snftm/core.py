@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "SurvivalCurve",
     "Trajectory",
     "Cohort",
+    "VisitIndex",
     "TreatmentRegime",
     "apply_regime",
     "is_evaluable",
@@ -304,9 +306,6 @@ class SurvivalCurve:
                 total += s_j * (1.0 - math.exp(-r * width)) / r
         return total
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.quantile(1.0 - rng.random())
-
 
 # ---------------------------------------------------------------------------
 # Trajectories and cohorts
@@ -347,7 +346,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Cohort:
-    """Independent subjects observed on one shared grid."""
+    """Independent subjects observed on one shared grid; ``index`` is their
+    :class:`VisitIndex`, built on first use and cached."""
 
     subjects: tuple[Trajectory, ...]
     grid: TimeGrid
@@ -367,6 +367,87 @@ class Cohort:
 
     def __iter__(self):
         return iter(self.subjects)
+
+    @cached_property
+    def index(self) -> "VisitIndex":
+        return VisitIndex(self.subjects, self.grid.K)
+
+
+class VisitIndex:
+    """A cohort as one row per subject-visit, subject-major, plus one
+    interned table of history prefixes.
+
+    Row ``r`` is visit ``k[r]`` of subject ``subject[r]``, with codes
+    ``l[r]`` and ``a[r]``; ``last[r]`` marks the visit whose interval holds
+    the subject's event.  ``prefixes[j]`` is a history ``(m, lbar, abar)``
+    of the first ``m`` covariates and treatments of some subject, the empty
+    one first.  Each row carries two ids into it: ``cell``, the history
+    before visit ``k`` that conditions ``L_k``, and ``through``, the history
+    through visit ``k`` that keys interval ``k``.  ``covariate_levels[k]``
+    and ``treatment_levels[k]`` are one past the largest code at visit ``k``
+    (0 for a visit nobody reaches).  The arrays are read-only.
+    """
+
+    def __init__(self, subjects: Sequence[Trajectory], K: int):
+        n = len(subjects)
+        n_visits = np.fromiter((s.n_visits for s in subjects), np.intp, n)
+        rows = int(n_visits.sum())
+        chain = itertools.chain.from_iterable
+        self.l = l = np.fromiter(chain(s.covariates for s in subjects), np.int64, rows)
+        self.a = a = np.fromiter(chain(s.treatments for s in subjects), np.int64, rows)
+        self.event_times = np.fromiter((s.event_time for s in subjects), float, n)
+        self.subject = np.repeat(np.arange(n), n_visits)
+        first = np.cumsum(n_visits) - n_visits
+        self.k = k = np.arange(rows) - np.repeat(first, n_visits)
+        self.last = np.zeros(rows, dtype=bool)
+        self.last[first + n_visits - 1] = True
+        self.covariate_levels = tuple(int(l[k == m].max(initial=-1)) + 1 for m in range(K + 1))
+        self.treatment_levels = tuple(int(a[k == m].max(initial=-1)) + 1 for m in range(K + 1))
+        # Intern visit by visit: the history through visit m is the cell
+        # before it plus (l_m, a_m).
+        prefixes = [(0, (), ())]
+        self.cell = np.zeros(rows, dtype=np.intp)
+        self.through = np.zeros(rows, dtype=np.intp)
+        for m in range(K + 1):
+            at = np.flatnonzero(k == m)
+            if m:
+                self.cell[at] = self.through[at - 1]
+            keys, inverse = self.first_seen(np.column_stack([self.cell[at], l[at], a[at]]))
+            self.through[at] = len(prefixes) + inverse
+            prefixes += [(m + 1, prefixes[c][1] + (lm,), prefixes[c][2] + (am,))
+                         for c, lm, am in keys.tolist()]
+        self.prefixes = tuple(prefixes)
+        for arr in (l, a, self.event_times, self.subject, k, self.last, self.cell, self.through):
+            arr.flags.writeable = False
+
+    @staticmethod
+    def first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of an integer matrix (or entries of a vector) in
+        order of first appearance, and each row's position in that list."""
+        rows = x[:, None] if x.ndim == 1 else x
+        order = np.lexsort(rows.T[::-1])  # stable: each run of equal rows starts at its first
+        ranked = rows[order]
+        new = np.ones(len(x), dtype=bool)
+        new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        starts = order[new]
+        inverse = np.empty(len(x), dtype=np.intp)
+        inverse[order] = np.argsort(np.argsort(starts))[np.cumsum(new) - 1]
+        return x[np.sort(starts)], inverse
+
+    def cell_frequencies(self, strata: np.ndarray | None = None, n_strata: int = 1) -> dict:
+        """Frequencies of ``L_k`` in each cell, ``{(cell, stratum): law}`` with
+        the cell's prefix tuple, in order of first appearance; ``strata``
+        optionally splits the cells by a per-subject stratum in
+        ``0 .. n_strata - 1``."""
+        group = self.cell * n_strata + (0 if strata is None else np.asarray(strata)[self.subject])
+        groups, row_group = self.first_seen(group)
+        width = max(self.covariate_levels)
+        counts = np.bincount(row_group * width + self.l, minlength=len(groups) * width).reshape(-1, width)
+        laws = {}
+        for g, freq in zip(groups.tolist(), counts / counts.sum(axis=1, keepdims=True)):
+            cell = self.prefixes[g // n_strata]
+            laws[(cell, g % n_strata)] = freq[: self.covariate_levels[cell[0]]]
+        return laws
 
 
 # ---------------------------------------------------------------------------

@@ -132,36 +132,22 @@ def estimate_laws(cohort: Cohort) -> ConditionalLaws:
     if len(cohort) == 0:
         raise CohortFormatError("cannot estimate laws from an empty cohort")
     grid = cohort.grid
-    K = grid.K
-    levels = [0] * (K + 1)
-    for traj in cohort:
-        for m, l in enumerate(traj.covariates):
-            levels[m] = max(levels[m], l + 1)
+    ix = cohort.index
+    transitions = {cell: law for (cell, _), law in ix.cell_frequencies().items()}
 
-    trans_counts: dict = {}
-    for traj in cohort:
-        for m in range(traj.n_visits):
-            key = (m, traj.covariates[:m], traj.treatments[:m])
-            vec = trans_counts.setdefault(key, np.zeros(levels[m]))
-            vec[traj.covariates[m]] += 1.0
-    transitions = {key: vec / vec.sum() for key, vec in trans_counts.items()}
-
-    events: dict = {}
-    persontime: dict = {}
-    for traj in cohort:
-        for m in range(1, traj.n_visits + 1):
-            key = (m, traj.covariates[:m], traj.treatments[:m])
-            end = grid.tau(m) if m <= K else np.inf
-            persontime[key] = persontime.get(key, 0.0) + (
-                min(traj.event_time, end) - grid.tau(m - 1)
-            )
-            if traj.event_time <= end:
-                events[key] = events.get(key, 0) + 1
+    # Interval k of a subject is keyed by its history through visit k; the
+    # sums run over the rows in subject-major order.
+    histories, row = ix.first_seen(ix.through)
+    taus = np.asarray(grid.taus)
+    end = np.append(taus[1:], np.inf)[ix.k]
+    t = ix.event_times[ix.subject]
+    persontime = np.bincount(row, weights=np.minimum(t, end) - taus[ix.k], minlength=len(histories))
+    events = np.bincount(row, weights=t <= end, minlength=len(histories))
     curves = {
-        key: SurvivalCurve((grid.tau(key[0] - 1),), (events.get(key, 0) / pt,))
-        for key, pt in persontime.items()
+        ix.prefixes[j]: SurvivalCurve((grid.taus[ix.prefixes[j][0] - 1],), (e / pt,))
+        for j, e, pt in zip(histories.tolist(), events.tolist(), persontime.tolist())
     }
-    return ConditionalLaws(grid, tuple(levels), transitions, curves)
+    return ConditionalLaws(grid, ix.covariate_levels, transitions, curves)
 
 
 @dataclass(frozen=True)

@@ -132,28 +132,20 @@ class _GestData:
 
     def __init__(self, cohort: Cohort, spec: TreatmentModelSpec):
         self.spec = spec
-        rows_f, rows_y, rows_subj = [], [], []
-        for i, traj in enumerate(cohort):
-            if any(a > 1 for a in traj.treatments):
-                raise SnftmError(
-                    "G-estimation handles binary dosing only; multi-valued treatments are out of scope"
-                )
-            for k in range(traj.n_visits):
-                feats = {
-                    "intercept": 1.0,
-                    "l": float(traj.covariates[k]),
-                    "l_prev": float(traj.covariates[k - 1]) if k else 0.0,
-                    "a_prev": float(traj.treatments[k - 1]) if k else 0.0,
-                    "k": float(k),
-                }
-                rows_f.append([feats[t] for t in spec.f_terms])
-                rows_y.append(float(traj.treatments[k]))
-                rows_subj.append(i)
-        self.F = np.asarray(rows_f)
-        self.y = np.asarray(rows_y)
-        self.row_subject = np.asarray(rows_subj, dtype=np.intp)
+        ix = cohort.index
+        if np.any(ix.a > 1):
+            raise SnftmError(
+                "G-estimation handles binary dosing only; multi-valued treatments are out of scope"
+            )
+        lag = lambda col: np.where(ix.k > 0, np.roll(col, 1), 0)
+        columns = {"intercept": 1.0, "l": ix.l, "l_prev": lag(ix.l), "a_prev": lag(ix.a), "k": ix.k}
+        self.F = np.empty((len(ix.k), len(spec.f_terms)))
+        for j, term in enumerate(spec.f_terms):
+            self.F[:, j] = columns[term]
+        self.y = ix.a.astype(float)
+        self.row_subject = ix.subject
         self.n_subjects = len(cohort)
-        self.event_times = np.array([traj.event_time for traj in cohort])
+        self.event_times = ix.event_times
         self._cohort = cohort
         self._blip: BlipTable | None = None
 

@@ -11,6 +11,7 @@ live in a sidecar JSON next to the CSV (``<name>.json``).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -81,29 +82,45 @@ def write_cohort(path, cohort: Cohort, covariate_levels=None, treatment_levels=N
             )
         rows.append(f"{i},{traj.n_visits},,,,{traj.event_time!r}")
     atomic_write_text(path, "\n".join(rows) + "\n")
-    if covariate_levels is None:
-        covariate_levels = [
-            max((t.covariates[k] for t in cohort if t.n_visits > k), default=-1) + 1
-            for k in range(cohort.grid.K + 1)
-        ]
-    if treatment_levels is None:
-        treatment_levels = [
-            max((t.treatments[k] for t in cohort if t.n_visits > k), default=-1) + 1
-            for k in range(cohort.grid.K + 1)
-        ]
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "taus": list(cohort.grid.taus),
-        "covariate_levels": [int(v) for v in covariate_levels],
-        "treatment_levels": [int(v) for v in treatment_levels],
+        "covariate_levels": [int(v) for v in (
+            cohort.index.covariate_levels if covariate_levels is None else covariate_levels)],
+        "treatment_levels": [int(v) for v in (
+            cohort.index.treatment_levels if treatment_levels is None else treatment_levels)],
     }
     side_path = _sidecar_path(path)
     atomic_write_text(side_path, json.dumps(sidecar, indent=2) + "\n")
     return side_path
 
 
+def _sidecar_list(meta: dict, name: str, side_path, length: int | None = None) -> list:
+    """Field ``name``: finite numbers, or with ``length`` that many non-negative integers."""
+    raw = meta[name]
+    if length is None:
+        ok, what = (lambda v: type(v) in (int, float) and -math.inf < v < math.inf), "finite numbers"
+    else:
+        ok, what = (lambda v: type(v) is int and v >= 0), f"{length} non-negative integers"
+    if not isinstance(raw, list) or not all(map(ok, raw)) or length not in (None, len(raw)):
+        raise CohortFormatError(f"{side_path}: field {name!r} must be a list of {what}, got {raw!r}")
+    return raw
+
+
+def _parse(convert, text: str, path, lineno: int, column: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}") from None
+
+
 def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
-    """Parse the cohort CSV (+ sidecar); returns ``(cohort, sidecar_dict)``."""
+    """Parse the cohort CSV (+ sidecar); returns ``(cohort, sidecar_dict)``.
+
+    Every visit row's ``tau_k`` must be the grid's time of visit ``k``.  When
+    the sidecar declares ``covariate_levels``/``treatment_levels`` (one per
+    visit), each code must lie in ``0 .. level - 1``.
+    """
     side_path = Path(sidecar) if sidecar is not None else _sidecar_path(path)
     try:
         meta = json.loads(Path(side_path).read_text(encoding="utf-8"))
@@ -111,7 +128,12 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
         raise CohortFormatError(f"missing sidecar config {side_path}") from None
     except json.JSONDecodeError as e:
         raise CohortFormatError(f"{side_path}: invalid JSON at line {e.lineno} column {e.colno}") from None
-    grid = TimeGrid(tuple(meta["taus"]))
+    if not isinstance(meta, dict) or "taus" not in meta:
+        raise CohortFormatError(f"{side_path}: missing field 'taus'")
+    grid = TimeGrid(tuple(_sidecar_list(meta, "taus", side_path)))
+    K, taus = grid.K, grid.taus
+    declared = [(j, column, _sidecar_list(meta, name, side_path, K + 1)) for j, (column, name)
+                in enumerate((("L1", "covariate_levels"), ("A", "treatment_levels"))) if name in meta]
 
     subjects: dict[str, dict] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -122,31 +144,32 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
                 f"{path}: header must be exactly {','.join(COHORT_COLUMNS)}, got {header}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            cells = [c.strip() for c in row]
+            if not any(cells):
                 continue
-            if len(row) != len(COHORT_COLUMNS):
+            if len(cells) != len(COHORT_COLUMNS):
                 raise CohortFormatError(
                     f"{path}: line {lineno}: expected {len(COHORT_COLUMNS)} columns, got {len(row)}"
                 )
-            sid, k_s, _tau, l_s, a_s, t_s = (c.strip() for c in row)
-            rec = subjects.setdefault(sid, {"visits": {}, "event": None, "line": lineno})
-            try:
-                k = int(k_s)
-            except ValueError:
-                raise CohortFormatError(f"{path}: line {lineno}: bad visit index {k_s!r}") from None
+            sid, k_s, tau_s, l_s, a_s, t_s = cells
+            rec = subjects.setdefault(sid, {"visits": {}, "event": None})
+            k = _parse(int, k_s, path, lineno, "k")
             if t_s:
-                try:
-                    rec["event"] = float(t_s)
-                except ValueError:
-                    raise CohortFormatError(f"{path}: line {lineno}: bad event time {t_s!r}") from None
+                rec["event"] = _parse(float, t_s, path, lineno, "T_event")
                 rec["n_visits"] = k
-            else:
-                try:
-                    rec["visits"][k] = (int(l_s), int(a_s))
-                except ValueError:
+                continue
+            if not 0 <= k <= K:
+                raise CohortFormatError(f"{path}: line {lineno}: column k: visit {k} is off the grid's 0..{K}")
+            if _parse(float, tau_s, path, lineno, "tau_k") != taus[k]:
+                raise CohortFormatError(f"{path}: line {lineno}: column tau_k: {tau_s!r} is not {taus[k]!r}")
+            codes = (_parse(int, l_s, path, lineno, "L1"), _parse(int, a_s, path, lineno, "A"))
+            for j, column, levels in declared:
+                if not 0 <= codes[j] < levels[k]:
                     raise CohortFormatError(
-                        f"{path}: line {lineno}: bad covariate/treatment codes {l_s!r}, {a_s!r}"
-                    ) from None
+                        f"{path}: line {lineno}: column {column}: code {codes[j]} is not in the "
+                        f"sidecar's 0..{levels[k] - 1}"
+                    )
+            rec["visits"][k] = codes
 
     trajs = []
     for sid, rec in subjects.items():
@@ -173,17 +196,10 @@ def _law_to_dict(law) -> dict:
     if law.spec is not None:
         return dict(law.spec)
     entries = [
-        [list(key[:1])[0], *_key_rest(key), [float(p) for p in vec]]
+        [*(list(part) if isinstance(part, tuple) else part for part in key), [float(p) for p in vec]]
         for key, vec in sorted(law.table.items())
     ]
     return {"kind": "table", "levels": list(law.levels), "entries": entries}
-
-
-def _key_rest(key):
-    out = []
-    for part in key[1:]:
-        out.append(list(part) if isinstance(part, tuple) else part)
-    return out
 
 
 def dgp_config_to_dict(cfg: DgpConfig) -> dict:
@@ -199,44 +215,23 @@ def dgp_config_to_dict(cfg: DgpConfig) -> dict:
     }
 
 
-def _covariate_law_from_dict(d: dict) -> CovariateLaw:
+def _law_from_dict(law_cls, d: dict):
+    """The inverse of :func:`_law_to_dict` for ``CovariateLaw`` or ``TreatmentLaw``."""
     kind = d.get("kind")
     if kind == "logistic":
-        return CovariateLaw.from_logistic(
-            d["n_visits"],
-            d["n_bins"],
-            intercept=d["intercept"],
-            bin_coef=d.get("bin_coef", 0.0),
-            l_prev_coef=d.get("l_prev_coef", 0.0),
-            a_prev_coef=d.get("a_prev_coef", 0.0),
-            treatment_levels=tuple(d.get("treatment_levels", ())) or None,
-        )
+        try:
+            return law_cls.from_logistic(**{key: v for key, v in d.items() if key != "kind"})
+        except TypeError as e:
+            raise CohortFormatError(f"bad logistic {law_cls.__name__}: {e}") from None
     if kind == "table":
-        table = {
-            (int(k), int(b), tuple(lp), tuple(ap)): np.asarray(vec)
-            for k, b, lp, ap, vec in d["entries"]
-        }
-        return CovariateLaw(tuple(d["levels"]), table)
-    raise CohortFormatError(f"unknown covariate law kind {kind!r}")
+        key = lambda parts: tuple(tuple(p) if isinstance(p, list) else int(p) for p in parts)
+        table = {key(entry[:-1]): np.asarray(entry[-1]) for entry in d["entries"]}
+        return law_cls(tuple(d["levels"]), table)
+    raise CohortFormatError(f"unknown {law_cls.__name__} kind {kind!r}")
 
 
-def _treatment_law_from_dict(d: dict) -> TreatmentLaw:
-    kind = d.get("kind")
-    if kind == "logistic":
-        return TreatmentLaw.from_logistic(
-            d["n_visits"],
-            intercept=d["intercept"],
-            l_coef=d.get("l_coef", 0.0),
-            a_prev_coef=d.get("a_prev_coef", 0.0),
-            covariate_levels=tuple(d.get("covariate_levels", ())) or None,
-        )
-    if kind == "table":
-        table = {
-            (int(k), tuple(lb), tuple(ap)): np.asarray(vec)
-            for k, lb, ap, vec in d["entries"]
-        }
-        return TreatmentLaw(tuple(d["levels"]), table)
-    raise CohortFormatError(f"unknown treatment law kind {kind!r}")
+_covariate_law_from_dict = functools.partial(_law_from_dict, CovariateLaw)
+_treatment_law_from_dict = functools.partial(_law_from_dict, TreatmentLaw)
 
 
 def dgp_config_from_dict(d: dict) -> DgpConfig:
@@ -302,8 +297,18 @@ def _knots_from_list(raw) -> tuple[float, ...]:
     return knots
 
 
+def _known_keys(d, allowed: tuple[str, ...], what: str) -> dict:
+    if not isinstance(d, dict):
+        raise CohortFormatError(f"{what} must be a JSON object, got {d!r}")
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise CohortFormatError(f"unknown {what} key(s) {unknown}; expected some of {list(allowed)}")
+    return d
+
+
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
-    g = d.get("g", {})
+    _known_keys(d, ("f_terms", "g", "components", "psi_dim"), "treatment spec")
+    g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), "treatment spec 'g'")
     clip = g.get("clip")
     return TreatmentModelSpec(
         f_terms=tuple(d.get("f_terms", ("intercept", "l", "a_prev"))),
@@ -323,6 +328,7 @@ def load_treatment_spec(path) -> TreatmentModelSpec:
 
 
 def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
+    _known_keys(d, ("baseline_bounds", "bins", "psi_init"), "mle template")
     psi_init = d.get("psi_init")
     return ParametricModel.template(
         grid,

@@ -116,22 +116,13 @@ class _ProfileTables:
         self.bounds = np.asarray(model.baseline_bounds)
         self.bins = np.asarray(model.bins)
         self.n = len(cohort)
-        cell_ids: dict = {}
-        row_cell, row_level, row_subject = [], [], []
-        max_level = 1
-        for i, traj in enumerate(cohort):
-            for k in range(traj.n_visits):
-                key = (k, traj.covariates[:k], traj.treatments[:k])
-                cid = cell_ids.setdefault(key, len(cell_ids))
-                row_cell.append(cid)
-                row_level.append(traj.covariates[k])
-                row_subject.append(i)
-                max_level = max(max_level, traj.covariates[k] + 1)
-        self.cells = list(cell_ids)
-        self.row_cell = np.asarray(row_cell, dtype=np.intp)
-        self.row_level = np.asarray(row_level, dtype=np.intp)
-        self.row_subject = np.asarray(row_subject, dtype=np.intp)
-        self.max_level = max_level
+        ix = cohort.index
+        # Cells in order of first appearance: ``profile`` sums over them in that order.
+        cells, self.row_cell = ix.first_seen(ix.cell)
+        self.cells = [ix.prefixes[c] for c in cells.tolist()]
+        self.row_level = ix.l
+        self.row_subject = ix.subject
+        self.max_level = max(1, *ix.covariate_levels)
         self.n_bins = len(model.bins) + 1
 
     def profile(self, psi: np.ndarray):
@@ -184,14 +175,9 @@ def _quadratic_surface(f, x0, w):
     )
     beta, *_ = np.linalg.lstsq(np.column_stack(cols), vals, rcond=None)
     grad = beta[1 : 1 + d]
-    hess = np.zeros((d, d))
-    for i in range(d):
-        hess[i, i] = 2.0 * beta[1 + d + i]
-    pos = 1 + 2 * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            hess[i, j] = hess[j, i] = beta[pos]
-            pos += 1
+    hess = np.diag(2.0 * beta[1 + d : 1 + 2 * d])
+    upper = np.triu_indices(d, 1)  # row-major, the order of the cross-term columns
+    hess[upper] = hess.T[upper] = beta[1 + 2 * d :]
     return grad, hess
 
 

@@ -241,10 +241,12 @@ class EnumeratedWorld:
         hi = min(upto, self.bin_edges[b + 1])
         return self.cfg.baseline.interval_mass(lo, hi)
 
+    def _node_mass(self, node: _Node, above: float, upto: float = math.inf) -> float:
+        """Mass of the atom's never-treated times in ``(above, upto]``."""
+        return sum(w * self._bin_mass(b, above, upto) for b, w in enumerate(node.pi) if w > 0.0)
+
     def _alive_mass(self, node: _Node) -> float:
-        return sum(
-            w * self._bin_mass(b, node.u_alive) for b, w in enumerate(node.pi) if w > 0.0
-        )
+        return self._node_mass(node, node.u_alive)
 
     def history_prob(self, lbar, abar) -> float:
         """Exact ``P(Lbar = lbar, Abar = abar, T > tau_k)`` with ``k = len(lbar) - 1``;
@@ -325,13 +327,7 @@ class EnumeratedWorld:
         grid = self.grid
         p = grid.interval_index(t)
         if given is None:
-            num = 0.0
-            for node in stages[p].values():
-                x = node.t0_of_t(grid, t)
-                num += sum(
-                    w * self._bin_mass(b, x) for b, w in enumerate(node.pi) if w > 0.0
-                )
-            return num
+            return sum((self._node_mass(node, node.t0_of_t(grid, t)) for node in stages[p].values()), 0.0)
         given = tuple(given)
         k = len(given) - 1
         if not t > grid.tau(k):
@@ -340,12 +336,11 @@ class EnumeratedWorld:
         anchor = stages[k].get((given, abar))
         if anchor is None or self._alive_mass(anchor) <= 0.0:
             raise CurveDomainError(f"conditioning history {given} has probability 0 under the regime")
-        num = 0.0
-        for (lbar, _a), node in stages[p].items():
-            if lbar[: k + 1] != given:
-                continue
-            x = node.t0_of_t(grid, t)
-            num += sum(w * self._bin_mass(b, x) for b, w in enumerate(node.pi) if w > 0.0)
+        num = sum(
+            (self._node_mass(node, node.t0_of_t(grid, t)) for (lbar, _a), node in stages[p].items()
+             if lbar[: k + 1] == given),
+            0.0,
+        )
         return num / self._alive_mass(anchor)
 
     def counterfactual_mean(self, regime: TreatmentRegime) -> float:
@@ -441,17 +436,11 @@ def verify_gcomputation(world: EnumeratedWorld, regime: TreatmentRegime, t_grid=
     )
 
 
-def _blip_scales(world: EnumeratedWorld, model: ShiftModel, lbar, abar) -> list[float]:
-    return [
-        model.scale(m, lbar[: m + 1], abar[: m + 1]) for m in range(len(lbar))
-    ]
-
-
 def _mass_t0gamma_above(world, model, node, x: float, from_visit: int = 0) -> float:
     """Mass on a death atom with the blipped-down time (visits >= from_visit,
     under ``model``'s shift maps) exceeding ``x``."""
     grid = world.grid
-    scales = _blip_scales(world, model, node.lbar, node.abar)
+    scales = [model.scale(m, node.lbar[: m + 1], node.abar[: m + 1]) for m in range(len(node.lbar))]
     d_tilde = sum(
         grid.delta(m) * (scales[m] - 1.0) for m in range(from_visit, node.k)
     )
@@ -462,9 +451,18 @@ def _mass_t0gamma_above(world, model, node, x: float, from_visit: int = 0) -> fl
         x0 = node.u_alive
     else:
         x0 = max(node.u_alive, node.t0_of_t(grid, t_star))
-    return sum(
-        w * world._bin_mass(b, x0, node.u_next) for b, w in enumerate(node.pi) if w > 0.0
-    )
+    return world._node_mass(node, x0, node.u_next)
+
+
+def _descendants(world: EnumeratedWorld, lbar, abar) -> list:
+    """The atoms at or after visit ``len(lbar) - 1`` whose histories extend ``(lbar, abar)``."""
+    k = len(lbar) - 1
+    return [
+        d
+        for j in range(k, world.grid.K + 1)
+        for (dl, da), d in sorted(world.stages[j].items())
+        if dl[: k + 1] == lbar and da[: k + 1] == abar
+    ]
 
 
 def _default_probes(world: EnumeratedWorld) -> np.ndarray:
@@ -510,15 +508,7 @@ def verify_blip_theorems(world: EnumeratedWorld, psi: ShiftParams | None = None,
             p_cell = world.history_prob(lbar, aprev)
             if p_cell <= 0.0:
                 continue
-            descendants = {
-                node.abar[-1]: [
-                    d
-                    for j in range(k, grid.K + 1)
-                    for (dl, da), d in sorted(world.stages[j].items())
-                    if dl[: k + 1] == lbar and da[: k + 1] == node.abar
-                ]
-                for node in nodes
-            }
+            descendants = {node.abar[-1]: _descendants(world, lbar, node.abar) for node in nodes}
             for x in probes:
                 joint = {
                     a: sum(_mass_t0gamma_above(world, model, d, float(x)) for d in descs)
@@ -541,16 +531,11 @@ def verify_blip_theorems(world: EnumeratedWorld, psi: ShiftParams | None = None,
         )
         by_prefix: dict = {}
         for (lbar, abar), node in sorted(world.stages[k].items()):
-            if world._alive_mass(node) <= 0.0:
-                continue
             alive = world._alive_mass(node)
+            if alive <= 0.0:
+                continue
             stopped = TreatmentRegime.stopped(abar[:k], grid.K + 1)
-            descendants = [
-                d
-                for j in range(k, grid.K + 1)
-                for (dl, da), d in sorted(world.stages[j].items())
-                if dl[: k + 1] == lbar and da[: k + 1] == abar
-            ]
+            descendants = _descendants(world, lbar, abar)
             curve = []
             for t in t_probes:
                 got = (
@@ -617,12 +602,7 @@ def verify_null_equivalence(
     k, lbar, abar = off_identity[0]
     tables1 = [
         {
-            hist: (abar[m] if hist == lbar[: m + 1] else 0)
-            for hist in itertools.product(*(range(world.covariate_levels[j]) for j in range(m + 1)))
-        }
-        if m <= k
-        else {
-            hist: 0
+            hist: (abar[m] if m <= k and hist == lbar[: m + 1] else 0)
             for hist in itertools.product(*(range(world.covariate_levels[j]) for j in range(m + 1)))
         }
         for m in range(grid.K + 1)

@@ -41,11 +41,6 @@ def stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def substream_key(*path) -> tuple[int, ...]:
-    """The spawn key for ``path``, for callers that batch stream creation."""
-    return tuple(w for c in path for w in _words(c))
-
-
 def categorical(probs, u: float) -> int:
     """Inverse-CDF draw of a code from ``probs`` at ``u`` uniform in [0, 1).
     A ``u`` past a cumulative sum rounded below 1 gets the last code with

@@ -72,10 +72,6 @@ class ShiftParams:
     def zero(cls, dim: int = 3) -> "ShiftParams":
         return cls((0.0,) * dim)
 
-    @property
-    def is_null(self) -> bool:
-        return all(v == 0.0 for v in self.psi)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.psi)
 
@@ -201,9 +197,11 @@ def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
 class BlipTable:
     """Per-visit feature rows for a cohort, for fast blip-down at many psi.
 
-    One row per (subject, visit) pair, ordered by subject.  Because every
-    shift map except the innermost acts past its own breakpoint, the
-    blipped-down time is affine in the per-row scale factors:
+    One row per (subject, visit) pair, ordered by subject: the rows of the
+    cohort's shared :class:`~snftm.core.VisitIndex`.  The feature map is
+    called once per distinct history through a visit and gathered onto the
+    rows.  Because every shift map except the innermost acts past its own
+    breakpoint, the blipped-down time is affine in the per-row scale factors:
 
         t0(psi) = tau_p + (T - tau_p) * s_p + sum_{m<p} delta_m * (s_m - 1).
     """
@@ -219,38 +217,21 @@ class BlipTable:
 
     @classmethod
     def from_cohort(cls, cohort: Cohort, features=default_features) -> "BlipTable":
-        grid = cohort.grid
-        subj, rows, c1, c0 = [], [], [], []
-        base = np.empty(len(cohort))
-        term_rows = []
-        times = np.empty(len(cohort))
-        for i, traj in enumerate(cohort):
-            p = traj.n_visits - 1
-            times[i] = traj.event_time
-            base[i] = grid.tau(p)
-            for m in range(p + 1):
-                x = np.asarray(
-                    features(m, traj.covariates[: m + 1], traj.treatments[: m + 1]),
-                    dtype=float,
-                )
-                subj.append(i)
-                rows.append(x)
-                if m < p:
-                    c1.append(grid.delta(m))
-                    c0.append(-grid.delta(m))
-                else:
-                    c1.append(traj.event_time - grid.tau(p))
-                    c0.append(0.0)
-                    term_rows.append(x)
+        ix = cohort.index
+        # Every prefix but the empty one is the history through some visit.
+        table = np.array([np.asarray(features(m - 1, lb, ab), dtype=float) for m, lb, ab in ix.prefixes[1:]])
+        row_features = table[ix.through - 1]
+        taus = np.asarray(cohort.grid.taus)
+        delta = np.append(np.diff(taus), math.inf)[ix.k]
         return cls(
             n_subjects=len(cohort),
-            row_subject=np.asarray(subj, dtype=np.intp),
-            row_features=np.vstack(rows),
-            row_c1=np.asarray(c1),
-            row_c0=np.asarray(c0),
-            base=base,
-            terminal_features=np.vstack(term_rows),
-            event_times=times,
+            row_subject=ix.subject,
+            row_features=row_features,
+            row_c1=np.where(ix.last, ix.event_times[ix.subject] - taus[ix.k], delta),
+            row_c0=np.where(ix.last, 0.0, -delta),
+            base=taus[ix.k[ix.last]],
+            terminal_features=row_features[ix.last],
+            event_times=ix.event_times,
         )
 
     def t0(self, psi: np.ndarray) -> np.ndarray:

@@ -1,12 +1,25 @@
+import itertools
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
 from snftm import dgp, gest, io
-from snftm.core import CohortFormatError, SnftmError, apply_regime
+from snftm.core import (
+    Cohort,
+    CohortFormatError,
+    SnftmError,
+    SurvivalCurve,
+    TimeGrid,
+    Trajectory,
+    apply_regime,
+)
+from snftm.shift import ShiftParams
 
 from conftest import make_config
 
@@ -123,3 +136,176 @@ def test_treatment_spec_knots():
     for bad in ([1.2, 1.2], [2.0, 1.0], [0.0], [-1.0], ["soon"], 1.2):
         with pytest.raises(SnftmError, match="g.knots"):
             io.treatment_spec_from_dict({"g": {"knots": bad}})
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _write(tmp_path, rows, sidecar):
+    p = tmp_path / "x.csv"
+    p.write_text("id,k,tau_k,L1,A,T_event\n" + "".join(r + "\n" for r in rows))
+    (tmp_path / "x.csv.json").write_text(json.dumps(sidecar))
+    return p
+
+
+@pytest.mark.parametrize("sidecar", [{"tau": [0, 1]}, [0, 1], {"taus": "0,1"}, {"taus": [0, "1"]},
+                                     {"taus": [0, True]}, {"taus": [0.0, float("nan")]}, {"taus": 1.0}])
+def test_sidecar_taus_must_be_a_list_of_numbers(tmp_path, sidecar):
+    p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5"], sidecar)
+    with pytest.raises(CohortFormatError, match=r"x\.csv\.json.*'taus'"):
+        io.read_cohort(p)
+
+
+def test_cli_reports_a_sidecar_without_taus(tmp_path, capsys):
+    from snftm import cli
+
+    p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5"], {"tau": [0, 1]})
+    code = cli.main(["gtest", "--cohort", str(p), "--spec", str(CONFIGS / "treatment_model.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "snftm: error:" in err and "'taus'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [("0,0,9.5,1,1,", "tau_k"), ("0,0,,1,1,", "tau_k"), ("0,0,0.0,5,1,", "L1"), ("0,0,0.0,1,2,", "A"),
+     ("0,0,0.0,-1,0,", "L1"), ("0,3,2.0,0,0,", "k")],
+)
+def test_visit_rows_checked_against_grid_and_levels(tmp_path, row, column):
+    sidecar = {"taus": [0.0, 1.0], "covariate_levels": [2, 2], "treatment_levels": [2, 2]}
+    p = _write(tmp_path, ["1,0,0.0,0,0,", "1,1,,,,0.5", row, "0,1,,,,0.7"], sidecar)
+    with pytest.raises(CohortFormatError, match=f"line 4: column {column}"):
+        io.read_cohort(p)
+
+
+def test_codes_unchecked_without_declared_levels(tmp_path):
+    p = _write(tmp_path, ["0,0,0.0,5,3,", "0,1,,,,0.5"], {"taus": [0.0, 1.0]})
+    cohort, _ = io.read_cohort(p)
+    assert cohort.subjects[0].covariates == (5,)
+
+
+@pytest.mark.parametrize("levels", [[2], [2, -1], [2, 2.0], "2,2"])
+def test_declared_levels_must_cover_each_visit(tmp_path, levels):
+    p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5"], {"taus": [0.0, 1.0], "covariate_levels": levels})
+    with pytest.raises(CohortFormatError, match="'covariate_levels'"):
+        io.read_cohort(p)
+
+
+def test_unknown_spec_and_template_keys_are_rejected(rich_config):
+    with pytest.raises(CohortFormatError, match="'component'"):
+        io.treatment_spec_from_dict({"g": {"knots": [1.2]}, "component": [1]})
+    with pytest.raises(CohortFormatError, match="'knot'"):
+        io.treatment_spec_from_dict({"g": {"knot": [1, 2]}})
+    with pytest.raises(CohortFormatError, match="JSON object"):
+        io.treatment_spec_from_dict({"g": [1]})
+    with pytest.raises(CohortFormatError, match="'bin'"):
+        io.mle_template_from_dict({"baseline_bounds": [0.0], "bin": [1.5]}, rich_config.grid)
+
+
+def _load_world(path):
+    from snftm import cli
+
+    out = path.parent / "cf.csv"
+    assert cli.main(["cfsim", "--world", str(path), "--regime", str(CONFIGS / "regime_never.json"),
+                     "--n", "10", "--out", str(out)]) == 0
+    out.unlink()
+
+
+LOADERS = {
+    "demo_dgp.json": io.load_dgp_config,
+    "demo_dgp_null.json": io.load_dgp_config,
+    "regime_always.json": lambda p: io.load_regime(p, 2),
+    "regime_never.json": lambda p: io.load_regime(p, 2),
+    "regime_treat_if_sick.json": lambda p: io.load_regime(p, 2),
+    "treatment_model.json": io.load_treatment_spec,
+    "mle_model.json": lambda p: io.load_mle_template(p, io.load_dgp_config(CONFIGS / "demo_dgp.json").grid),
+    "world_exact.json": _load_world,
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_every_shipped_config_loads(name):
+    assert name in LOADERS, f"configs/{name} has no loader in this test"
+    LOADERS[name](CONFIGS / name)
+
+
+@st.composite
+def small_cohorts(draw):
+    n_visits = draw(st.integers(2, 4))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n_visits - 1, max_size=n_visits - 1))
+    taus = [0.0]
+    for g in gaps:
+        taus.append(taus[-1] + g)
+    grid = TimeGrid(tuple(taus))
+    cov_levels = draw(st.lists(st.integers(1, 4), min_size=n_visits, max_size=n_visits))
+    trt_levels = draw(st.lists(st.integers(1, 4), min_size=n_visits, max_size=n_visits))
+    subjects = []
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.one_of(st.sampled_from(grid.taus[1:]), st.floats(1e-6, 2.0 * grid.taus[-1])))
+        p = grid.interval_index(t)
+        cov = [draw(st.integers(0, cov_levels[k] - 1)) for k in range(p + 1)]
+        trt = [draw(st.integers(0, trt_levels[k] - 1)) for k in range(p + 1)]
+        subjects.append(Trajectory(cov, trt, t))
+    return Cohort(subjects, grid), cov_levels, trt_levels
+
+
+@given(data=small_cohorts(), declare=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_write_then_read_cohort_is_identity(data, declare):
+    cohort, cov_levels, trt_levels = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        if declare:
+            io.write_cohort(path, cohort, cov_levels, trt_levels)
+        else:
+            io.write_cohort(path, cohort)
+        back, meta = io.read_cohort(path)
+    assert back == cohort
+    assert meta["covariate_levels"] == (cov_levels if declare else list(cohort.index.covariate_levels))
+    assert meta["treatment_levels"] == (trt_levels if declare else list(cohort.index.treatment_levels))
+
+
+@st.composite
+def table_configs(draw):
+    n_visits = draw(st.integers(1, 3))
+    grid = TimeGrid(tuple(0.7 * k for k in range(n_visits + 1)))
+    thresholds = tuple(draw(st.lists(st.sampled_from([0.4, 1.1, 2.5]), max_size=2, unique=True).map(sorted)))
+    cov_levels = draw(st.lists(st.integers(1, 3), min_size=n_visits + 1, max_size=n_visits + 1))
+    trt_levels = draw(st.lists(st.integers(1, 2), min_size=n_visits + 1, max_size=n_visits + 1))
+
+    def law(levels, first_positive=False):
+        weights = draw(st.lists(st.integers(1 if first_positive else 0, 9), min_size=levels, max_size=levels))
+        weights[-1] += sum(weights) == 0
+        return [w / sum(weights) for w in weights]
+
+    cov, trt = {}, {}
+    for k in range(n_visits + 1):
+        for lprev in itertools.product(*map(range, cov_levels[:k])):
+            for aprev in itertools.product(*map(range, trt_levels[:k])):
+                for b in range(len(thresholds) + 1):
+                    cov[(k, b, lprev, aprev)] = law(cov_levels[k])
+                for l_k in range(cov_levels[k]):
+                    trt[(k, lprev + (l_k,), aprev)] = law(trt_levels[k], first_positive=True)
+    rates = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3))
+    return dgp.DgpConfig(
+        grid,
+        SurvivalCurve(tuple(0.8 * j for j in range(len(rates))), tuple(rates)),
+        thresholds,
+        dgp.CovariateLaw(tuple(cov_levels), cov),
+        dgp.TreatmentLaw(tuple(trt_levels), trt),
+        ShiftParams(draw(st.tuples(*(st.floats(-2.0, 2.0) for _ in range(3))))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@given(cfg=table_configs())
+@settings(max_examples=60, deadline=None)
+def test_dgp_config_dict_round_trip_for_table_laws(cfg):
+    back = io.dgp_config_from_dict(json.loads(json.dumps(io.dgp_config_to_dict(cfg))))
+    for name in ("grid", "baseline", "thresholds", "psi0", "seed"):
+        assert getattr(back, name) == getattr(cfg, name), name
+    for name in ("covariate_law", "treatment_law"):
+        got, want = getattr(back, name), getattr(cfg, name)
+        assert got.levels == want.levels and set(got.table) == set(want.table)
+        for key, vec in want.table.items():
+            assert np.array_equal(got.table[key], vec), (name, key)
