@@ -317,7 +317,10 @@ class Trajectory:
     event, plus the event time itself.
 
     Histories run over visit indices ``k`` with ``tau_k < event_time``, so
-    both tuples have length ``p(T) + 1`` on the cohort's grid.
+    both tuples have length ``p(T) + 1`` on the cohort's grid.  A cohort
+    does not store these: it is its person-visit columns, and a trajectory
+    is a per-record view of them (``Cohort.subjects``), or a single draw
+    (``dgp.sample_trajectory``) for the scalar ``blip_down``/``log_density``.
     """
 
     covariates: CovariateHistory
@@ -344,70 +347,110 @@ class Trajectory:
         return len(self.covariates)
 
 
-@dataclass(frozen=True)
 class Cohort:
-    """Independent subjects observed on one shared grid; ``index`` is their
-    :class:`VisitIndex`, built on first use and cached."""
+    """Independent subjects on one shared grid, stored as one read-only row
+    per subject-visit, subject-major: row ``r`` is visit ``k[r]`` of subject
+    ``subject[r]``, with codes ``l[r]`` and ``a[r]``, and ``last[r]`` marks
+    the visit whose interval holds the event at ``event_times[subject[r]]``.
+    ``subjects`` views the rows as :class:`Trajectory` records and ``index``
+    interns their history cells (:class:`VisitIndex`), each built on first
+    use and cached.  ``Cohort(subjects, grid)`` flattens trajectories into
+    the columns of :meth:`from_columns`; both validate in one array pass.
+    """
 
-    subjects: tuple[Trajectory, ...]
-    grid: TimeGrid
+    def __init__(self, subjects: Sequence[Trajectory], grid: TimeGrid):
+        subjects, chain = tuple(subjects), itertools.chain.from_iterable
+        self._fill(grid, [s.event_time for s in subjects], [s.n_visits for s in subjects],
+                   list(chain(s.covariates for s in subjects)), list(chain(s.treatments for s in subjects)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        for i, s in enumerate(self.subjects):
-            expect = self.grid.interval_index(s.event_time) + 1
-            if s.n_visits != expect:
-                raise CohortFormatError(
-                    f"subject {i}: {s.n_visits} visits recorded but event time "
-                    f"{s.event_time} implies {expect}"
-                )
+    @classmethod
+    def from_columns(cls, grid: TimeGrid, event_times, n_visits, l, a) -> "Cohort":
+        """Subject ``i`` dies at ``event_times[i]`` after visits ``0 .. n_visits[i] - 1``,
+        whose codes are its ``n_visits[i]`` consecutive entries of ``l`` and ``a``."""
+        cohort = cls.__new__(cls)
+        cohort._fill(grid, event_times, n_visits, l, a)
+        return cohort
+
+    def _fill(self, grid, event_times, n_visits, l, a):
+        def fail(bad, error, message):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise error(f"subject {i}: {message(i)}")
+
+        self.grid = grid
+        self.event_times = t = np.array(event_times, dtype=float)
+        self.l, self.a = l, a = np.array(l, dtype=np.int64), np.array(a, dtype=np.int64)
+        n_visits = np.asarray(n_visits, dtype=np.intp)
+        fail(~(np.isfinite(t) & (t > 0.0)), CurveDomainError,
+             lambda i: f"event_time must be positive and finite, got {t[i]}")
+        if len(n_visits) != len(t) or len(l) != len(a) or len(l) != n_visits.sum():
+            raise CohortFormatError("covariate and treatment columns must hold one code per recorded visit")
+        fail(n_visits < 1, CohortFormatError, lambda i: "a trajectory records at least the enrollment visit")
+        self.subject = np.repeat(np.arange(len(t)), n_visits)
+        fail(np.isin(np.arange(len(t)), self.subject[(l < 0) | (a < 0)]), CohortFormatError,
+             lambda i: "covariate/treatment codes are non-negative integers")
+        expect = np.minimum(np.searchsorted(grid._taus_arr, t, side="left") - 1, grid.K) + 1
+        fail(n_visits != expect, CohortFormatError,
+             lambda i: f"{n_visits[i]} visits recorded but event time {t[i]} implies {expect[i]}")
+        first = np.cumsum(n_visits) - n_visits
+        self.k = np.arange(len(l)) - np.repeat(first, n_visits)
+        self.last = np.zeros(len(l), dtype=bool)
+        self.last[first + n_visits - 1] = True
+        for arr in (t, l, a, self.subject, self.k, self.last):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.subjects)
+        return len(self.event_times)
 
     def __iter__(self):
         return iter(self.subjects)
 
+    def __eq__(self, other):
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        return self.grid == other.grid and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("event_times", "k", "l", "a"))
+
+    @cached_property
+    def subjects(self) -> tuple[Trajectory, ...]:
+        """The records as :class:`Trajectory` views, in subject order."""
+        l, a = self.l.tolist(), self.a.tolist()
+        ends = (np.flatnonzero(self.last) + 1).tolist()
+        return tuple(Trajectory(l[s:e], a[s:e], t)
+                     for s, e, t in zip([0] + ends, ends, self.event_times.tolist()))
+
     @cached_property
     def index(self) -> "VisitIndex":
-        return VisitIndex(self.subjects, self.grid.K)
+        return VisitIndex(self)
 
 
 class VisitIndex:
-    """A cohort as one row per subject-visit, subject-major, plus one
-    interned table of history prefixes.
+    """A cohort's person-visit columns plus one interned table of history
+    prefixes.
 
-    Row ``r`` is visit ``k[r]`` of subject ``subject[r]``, with codes
-    ``l[r]`` and ``a[r]``; ``last[r]`` marks the visit whose interval holds
-    the subject's event.  ``prefixes[j]`` is a history ``(m, lbar, abar)``
-    of the first ``m`` covariates and treatments of some subject, the empty
-    one first.  Each row carries two ids into it: ``cell``, the history
-    before visit ``k`` that conditions ``L_k``, and ``through``, the history
-    through visit ``k`` that keys interval ``k``.  ``covariate_levels[k]``
-    and ``treatment_levels[k]`` are one past the largest code at visit ``k``
-    (0 for a visit nobody reaches).  The arrays are read-only.
+    ``subject``, ``k``, ``l``, ``a``, ``last`` and ``event_times`` are the
+    :class:`Cohort`'s own read-only arrays, shared, not copied.
+    ``prefixes[j]`` is a history ``(m, lbar, abar)`` of the first ``m``
+    covariates and treatments of some subject, the empty one first.  Each
+    row carries two ids into it: ``cell``, the history before visit ``k``
+    that conditions ``L_k``, and ``through``, the history through visit
+    ``k`` that keys interval ``k``.  ``covariate_levels[k]`` and
+    ``treatment_levels[k]`` are one past the largest code at visit ``k``
+    (0 for a visit nobody reaches).
     """
 
-    def __init__(self, subjects: Sequence[Trajectory], K: int):
-        n = len(subjects)
-        n_visits = np.fromiter((s.n_visits for s in subjects), np.intp, n)
-        rows = int(n_visits.sum())
-        chain = itertools.chain.from_iterable
-        self.l = l = np.fromiter(chain(s.covariates for s in subjects), np.int64, rows)
-        self.a = a = np.fromiter(chain(s.treatments for s in subjects), np.int64, rows)
-        self.event_times = np.fromiter((s.event_time for s in subjects), float, n)
-        self.subject = np.repeat(np.arange(n), n_visits)
-        first = np.cumsum(n_visits) - n_visits
-        self.k = k = np.arange(rows) - np.repeat(first, n_visits)
-        self.last = np.zeros(rows, dtype=bool)
-        self.last[first + n_visits - 1] = True
+    def __init__(self, cohort: Cohort):
+        K = cohort.grid.K
+        self.subject, self.k, self.l, self.a = cohort.subject, cohort.k, cohort.l, cohort.a
+        self.last, self.event_times = cohort.last, cohort.event_times
+        k, l, a = self.k, self.l, self.a
         self.covariate_levels = tuple(int(l[k == m].max(initial=-1)) + 1 for m in range(K + 1))
         self.treatment_levels = tuple(int(a[k == m].max(initial=-1)) + 1 for m in range(K + 1))
         # Intern visit by visit: the history through visit m is the cell
         # before it plus (l_m, a_m).
         prefixes = [(0, (), ())]
-        self.cell = np.zeros(rows, dtype=np.intp)
-        self.through = np.zeros(rows, dtype=np.intp)
+        self.cell = np.zeros(len(k), dtype=np.intp)
+        self.through = np.zeros(len(k), dtype=np.intp)
         for m in range(K + 1):
             at = np.flatnonzero(k == m)
             if m:
@@ -417,8 +460,7 @@ class VisitIndex:
             prefixes += [(m + 1, prefixes[c][1] + (lm,), prefixes[c][2] + (am,))
                          for c, lm, am in keys.tolist()]
         self.prefixes = tuple(prefixes)
-        for arr in (l, a, self.event_times, self.subject, k, self.last, self.cell, self.through):
-            arr.flags.writeable = False
+        self.cell.flags.writeable = self.through.flags.writeable = False
 
     @staticmethod
     def first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -244,7 +244,8 @@ class DgpConfig:
         return 1 + 2 * (self.grid.K + 1)
 
 
-def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
+def _walk(cfg: DgpConfig, model: ShiftModel, uniforms) -> tuple[float, tuple, tuple]:
+    """One subject's ``(event_time, lbar, abar)`` from its slice of uniforms."""
     t0 = cfg.baseline.quantile(1.0 - uniforms[0])
     b = cfg.bin_index(t0)
 
@@ -253,7 +254,11 @@ def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
         a_k = _rng.categorical(cfg.treatment_law.probs(k, lbar + (l_k,), abar), uniforms[2 + 2 * k])
         return l_k, a_k
 
-    t, lbar, abar = walk_up(model, t0, draw)
+    return walk_up(model, t0, draw)
+
+
+def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
+    t, lbar, abar = _walk(cfg, model, uniforms)
     return Trajectory(lbar, abar, t)
 
 
@@ -267,15 +272,17 @@ def sample_cohort(cfg: DgpConfig, n: int, seed: int | None = None) -> Cohort:
     """``n`` independent subjects, bit-reproducible per ``(seed, subject)``.
 
     Subject ``i`` consumes a fixed-width slice of one counter-based stream,
-    so its record does not depend on ``n`` or on scheduling.
+    so its record does not depend on ``n`` or on scheduling.  The walks fill
+    the cohort's columns directly.
     """
     if n < 1:
         raise CohortFormatError(f"cohort size must be >= 1, got {n}")
     seed = cfg.seed if seed is None else seed
     uniforms = _rng.stream(seed, "dgp").random((n, cfg.draws_per_subject))
     model = cfg.shift_model()
-    subjects = tuple(_assemble(cfg, model, uniforms[i]) for i in range(n))
-    return Cohort(subjects, cfg.grid)
+    times, lbars, abars = zip(*(_walk(cfg, model, u) for u in uniforms))
+    chain = itertools.chain.from_iterable
+    return Cohort.from_columns(cfg.grid, times, list(map(len, lbars)), list(chain(lbars)), list(chain(abars)))
 
 
 def true_conditional_laws(cfg: DgpConfig, max_cells: int = 10_000_000):

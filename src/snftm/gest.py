@@ -271,11 +271,12 @@ def _as_vector(psi) -> np.ndarray | None:
 
 
 def _fit_augmented(
-    data: _GestData, psi: np.ndarray | None, start: np.ndarray | None = None
+    data: _GestData, psi: np.ndarray | None, start: np.ndarray | None = None, G: np.ndarray | None = None
 ) -> TreatmentFit:
     """Augmented fit at ``psi``, started from ``start`` (the full coefficient
-    vector) or else from the null fit with the augmentation coefficient at 0."""
-    G = data.g_columns(psi)
+    vector) or else from the null fit with the augmentation coefficient at 0;
+    ``G`` passes in ``data.g_columns(psi)`` when the caller already has it."""
+    G = data.g_columns(psi) if G is None else G
     X = np.column_stack([data.F, G])
     if start is None:
         start = np.concatenate([data.null_fit.theta, np.zeros(G.shape[1])])
@@ -310,9 +311,9 @@ class GTestReport:
         }
 
 
-def _score_test(data: _GestData, psi: np.ndarray | None):
+def _score_test(data: _GestData, psi: np.ndarray | None, G: np.ndarray | None = None):
     null = data.null_fit
-    G = data.g_columns(psi)
+    G = data.g_columns(psi) if G is None else G
     U = G.T @ (data.y - null.p)
     i_fg = null.Fw.T @ G
     i_gg = (G * null.w[:, None]).T @ G
@@ -326,8 +327,9 @@ def g_test(cohort: Cohort, spec: TreatmentModelSpec, psi0=None) -> GTestReport:
     treatment effect) by testing the augmentation coefficient at zero."""
     data = _GestData(cohort, spec)
     psi_vec = _as_vector(psi0)
-    stat, df = _score_test(data, psi_vec)
-    fit = _fit_augmented(data, psi_vec)
+    G = data.g_columns(psi_vec)
+    stat, df = _score_test(data, psi_vec, G)
+    fit = _fit_augmented(data, psi_vec, G=G)
     d = len(fit.alpha)
     wald = float(
         fit.alpha @ np.linalg.solve(fit.cov[-d:, -d:], fit.alpha)
@@ -532,9 +534,10 @@ def estimate_psi(
         start = None
         for idx, x in enumerate(ci_grid):
             vec = spec.embed(np.array([x]))
-            stat, df = _score_test(data, vec)
+            G = data.g_columns(vec)
+            stat, df = _score_test(data, vec, G)
             mask[idx] = special.chdtrc(df, stat) >= level
-            fit = _fit_augmented(data, vec, start)
+            fit = _fit_augmented(data, vec, start, G)
             trace[idx] = fit.alpha[0]
             # the next grid point's fit starts from this one's coefficients
             start = np.concatenate([fit.theta, fit.alpha])

@@ -23,9 +23,9 @@ import numpy as np
 from .core import (
     Cohort,
     CohortFormatError,
+    CurveDomainError,
     SurvivalCurve,
     TimeGrid,
-    Trajectory,
     TreatmentRegime,
 )
 from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
@@ -75,12 +75,13 @@ def _sidecar_path(csv_path) -> Path:
 def write_cohort(path, cohort: Cohort, covariate_levels=None, treatment_levels=None):
     """Emit the cohort CSV and its sidecar; returns the sidecar path."""
     rows = [",".join(COHORT_COLUMNS)]
-    for i, traj in enumerate(cohort):
-        for k in range(traj.n_visits):
-            rows.append(
-                f"{i},{k},{cohort.grid.tau(k)!r},{traj.covariates[k]},{traj.treatments[k]},"
-            )
-        rows.append(f"{i},{traj.n_visits},,,,{traj.event_time!r}")
+    taus = [repr(t) for t in cohort.grid.taus]
+    times = cohort.event_times.tolist()
+    columns = (cohort.subject, cohort.k, cohort.l, cohort.a, cohort.last)
+    for i, k, l, a, last in zip(*(c.tolist() for c in columns)):
+        rows.append(f"{i},{k},{taus[k]},{l},{a},")
+        if last:
+            rows.append(f"{i},{k + 1},,,,{times[i]!r}")
     atomic_write_text(path, "\n".join(rows) + "\n")
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -117,9 +118,13 @@ def _parse(convert, text: str, path, lineno: int, column: str):
 def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
     """Parse the cohort CSV (+ sidecar); returns ``(cohort, sidecar_dict)``.
 
-    Every visit row's ``tau_k`` must be the grid's time of visit ``k``.  When
-    the sidecar declares ``covariate_levels``/``treatment_levels`` (one per
-    visit), each code must lie in ``0 .. level - 1``.
+    Rows may come in any order.  Each subject has one terminal row, which
+    carries only ``id``, ``k`` and ``T_event``, with ``k`` the visit count
+    that ``T_event`` implies, and one visit row for each of ``0 .. k - 1``.
+    Every visit row's ``tau_k`` must be the grid's time of visit ``k`` and
+    its codes non-negative; when the sidecar declares
+    ``covariate_levels``/``treatment_levels`` (one per visit), each code
+    must lie in ``0 .. level - 1``.
     """
     side_path = Path(sidecar) if sidecar is not None else _sidecar_path(path)
     try:
@@ -132,10 +137,12 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
         raise CohortFormatError(f"{side_path}: missing field 'taus'")
     grid = TimeGrid(tuple(_sidecar_list(meta, "taus", side_path)))
     K, taus = grid.K, grid.taus
-    declared = [(j, column, _sidecar_list(meta, name, side_path, K + 1)) for j, (column, name)
-                in enumerate((("L1", "covariate_levels"), ("A", "treatment_levels"))) if name in meta]
+    declared = [(j, column, _sidecar_list(meta, name, side_path, K + 1) 
+                 if name in meta else [math.inf] * (K + 1))
+                for j, (column, name) in enumerate((("L1", "covariate_levels"), ("A", "treatment_levels")))]
 
-    subjects: dict[str, dict] = {}
+    ids: dict[str, int] = {}  # CSV id -> subject position, in order of first appearance
+    visits, ends, end_k, end_t = {}, {}, [], []  # visits: (subject, k) -> (l, a, line); ends: subject -> line
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -152,11 +159,23 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
                     f"{path}: line {lineno}: expected {len(COHORT_COLUMNS)} columns, got {len(row)}"
                 )
             sid, k_s, tau_s, l_s, a_s, t_s = cells
-            rec = subjects.setdefault(sid, {"visits": {}, "event": None})
+            s = ids.setdefault(sid, len(ids))
             k = _parse(int, k_s, path, lineno, "k")
             if t_s:
-                rec["event"] = _parse(float, t_s, path, lineno, "T_event")
-                rec["n_visits"] = k
+                for column, text in zip(COHORT_COLUMNS[2:5], (tau_s, l_s, a_s)):
+                    if text:
+                        raise CohortFormatError(f"{path}: line {lineno}: column {column}: {text!r} on a "
+                                                "terminal row, which carries only id, k and T_event")
+                if s in ends:
+                    raise CohortFormatError(f"{path}: line {lineno}: column T_event: subject {sid} already "
+                                            f"has a terminal row, on line {ends[s]}")
+                t = _parse(float, t_s, path, lineno, "T_event")
+                if not (math.isfinite(t) and t > 0.0):
+                    raise CurveDomainError(f"{path}: line {lineno}: column T_event: event_time must be "
+                                           f"positive and finite, got {t}")
+                ends[s] = lineno
+                end_k.append(k)
+                end_t.append(t)
                 continue
             if not 0 <= k <= K:
                 raise CohortFormatError(f"{path}: line {lineno}: column k: visit {k} is off the grid's 0..{K}")
@@ -166,26 +185,37 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
             for j, column, levels in declared:
                 if not 0 <= codes[j] < levels[k]:
                     raise CohortFormatError(
-                        f"{path}: line {lineno}: column {column}: code {codes[j]} is not in the "
-                        f"sidecar's 0..{levels[k] - 1}"
+                        f"{path}: line {lineno}: column {column}: code {codes[j]} is not in 0..{levels[k] - 1}"
                     )
-            rec["visits"][k] = codes
-
-    trajs = []
-    for sid, rec in subjects.items():
-        if rec["event"] is None:
-            raise CohortFormatError(f"{path}: subject {sid} has no terminal row")
-        n = rec.get("n_visits", len(rec["visits"]))
-        if sorted(rec["visits"]) != list(range(n)):
-            raise CohortFormatError(
-                f"{path}: subject {sid}: visit rows are not exactly 0..{n - 1}"
-            )
-        cov = tuple(rec["visits"][k][0] for k in range(n))
-        trt = tuple(rec["visits"][k][1] for k in range(n))
-        trajs.append(Trajectory(cov, trt, rec["event"]))
-    if not trajs:
+            if (s, k) in visits:
+                raise CohortFormatError(f"{path}: line {lineno}: column k: subject {sid} repeats visit {k} "
+                                        f"of line {visits[s, k][2]}")
+            visits[s, k] = (*codes, lineno)
+    if not ids:
         raise CohortFormatError(f"{path}: no subjects found")
-    return Cohort(tuple(trajs), grid), meta
+
+    # Per-subject checks, for the first subject that fails one.
+    n = len(ids)
+    subj, k = np.array(list(visits), dtype=np.int64).reshape(-1, 2).T
+    ended, n_visits, event_times = np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64), np.ones(n)
+    ended[list(ends)], n_visits[list(ends)], event_times[list(ends)] = True, end_k, end_t
+    implied = np.minimum(np.searchsorted(taus, event_times, side="left") - 1, K) + 1
+    # A subject's visits are distinct and >= 0: exactly 0 .. m - 1 when there are m and the largest is m - 1.
+    counts, largest = np.bincount(subj, minlength=n), np.full(n, -1)
+    np.maximum.at(largest, subj, k)
+    for bad, message in (
+        (~ended, lambda i: "has no terminal row"),
+        (n_visits != implied, lambda i: f"has terminal k = {n_visits[i]}, but its event time "
+                                        f"{float(event_times[i])!r} implies {implied[i]} visits"),
+        ((counts != n_visits) | (largest != n_visits - 1),
+         lambda i: f"has visit rows that are not exactly 0..{n_visits[i] - 1}"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise CohortFormatError(f"{path}: subject {list(ids)[i]} {message(i)}")
+    order = np.lexsort((k, subj))  # subject-major, then by visit
+    l, a, _ = np.array(list(visits.values()), dtype=np.int64).reshape(-1, 3)[order].T
+    return Cohort.from_columns(grid, event_times, n_visits, l, a), meta
 
 
 # ---------------------------------------------------------------------------

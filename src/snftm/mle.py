@@ -270,6 +270,14 @@ def _pinned_fit(tables: _ProfileTables, model: ParametricModel, psi) -> MleFit:
     return MleFit(fitted, ll, np.full((d, d), np.nan), np.full((d, d), np.nan), np.nan, True, 1)
 
 
+def _all_identical(cohort: Cohort) -> bool:
+    """Whether the cohort has fewer than two distinct subjects.  Equal event
+    times mean equal visit counts, so row ``r`` then matches row ``k[r]``,
+    the same visit of the first subject."""
+    t, k = cohort.event_times, cohort.k
+    return bool(np.all(t == t[:1]) and np.all(cohort.l == cohort.l[k]) and np.all(cohort.a == cohort.a[k]))
+
+
 def fit(
     cohort: Cohort,
     init: ParametricModel,
@@ -284,7 +292,7 @@ def fit(
     not reach machine zero because the empirical profile is only
     piecewise-smooth in the shift parameters.
     """
-    if len(set(cohort.subjects)) < 2:
+    if _all_identical(cohort):
         raise NonIdentifiableError("cohort is degenerate: all trajectories identical")
     tables = _ProfileTables(cohort, init)
     evals = 0

@@ -240,3 +240,19 @@ class TestSharedNullFit:
         est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
         assert len(est.ci_grid) > 1
         assert len(null_fits) == 1
+
+    def test_one_g_columns_build_per_ci_point(self, cohort, monkeypatch):
+        builds = []
+        original = gest._GestData.g_columns
+
+        def counting(self, psi):
+            builds.append(psi)
+            return original(self, psi)
+
+        monkeypatch.setattr(gest._GestData, "g_columns", counting)
+        gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], compute_ci=False)
+        without_ci = len(builds)
+        builds.clear()
+        est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
+        assert len(est.ci_grid) > 1
+        assert len(builds) - without_ci == len(est.ci_grid)

@@ -5,12 +5,17 @@ Each ``_reference_*`` function below is a table builder's loop over the
 rebuilt builders must reproduce it bit for bit.
 """
 
+import itertools
+import random
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snftm import cfsim, core, dgp, gcomp, gest, mle
+from snftm import cfsim, core, dgp, gcomp, gest, io, mle
 from snftm.core import Cohort, SnftmError, SurvivalCurve, TimeGrid, Trajectory
 from snftm.gcomp import ConditionalLaws
 from snftm.shift import BlipTable, ShiftParams, default_features
@@ -321,3 +326,108 @@ def test_fit_and_test_null_build_the_index_once(monkeypatch):
     mle.test_null(cohort, fitted)
     assert len(builds) == 1
     assert cohort.index is cohort.index
+
+
+DEFECTS = ("time", "empty", "negative", "count", "lengths")
+
+
+@st.composite
+def records(draw, defect=None):
+    """A grid and raw ``(covariates, treatments, event_time)`` records on it
+    (2-4 visits, multi-level codes); with ``defect`` set, one record is
+    broken in that way."""
+    n_visits = draw(st.integers(2, 4))
+    grid = TimeGrid((0.0, *np.cumsum(draw(st.lists(st.sampled_from([0.5, 0.7, 1.0]),
+                                                       min_size=n_visits - 1, max_size=n_visits - 1))).tolist()))
+    recs = []
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.one_of(st.sampled_from(grid.taus[1:]), st.floats(0.01, grid.taus[-1] + 2.0)))
+        codes = st.lists(st.integers(0, 2), min_size=grid.interval_index(t) + 1, max_size=grid.interval_index(t) + 1)
+        recs.append((draw(codes), draw(codes), t))
+    if defect is not None:
+        i = draw(st.integers(0, len(recs) - 1))
+        cov, trt, t = recs[i]
+        if defect == "time":
+            t = draw(st.sampled_from([0.0, -0.5, np.inf, np.nan]))
+        elif defect == "empty":
+            cov, trt = [], []
+        elif defect == "negative":
+            (cov if draw(st.booleans()) else trt)[draw(st.integers(0, len(cov) - 1))] = -1
+        elif defect == "count":
+            cov, trt = (cov + [0], trt + [0]) if draw(st.booleans()) or len(cov) == 1 else (cov[1:], trt[1:])
+        else:
+            trt = trt + [0]
+        recs[i] = (cov, trt, t)
+    return grid, recs
+
+
+def from_trajectories(grid, recs):
+    return Cohort(tuple(Trajectory(cov, trt, t) for cov, trt, t in recs), grid)
+
+
+def from_columns(grid, recs):
+    chain = itertools.chain.from_iterable
+    return Cohort.from_columns(grid, [t for _, _, t in recs], [len(cov) for cov, _, _ in recs],
+                               list(chain(cov for cov, _, _ in recs)), list(chain(trt for _, trt, _ in recs)))
+
+
+INDEX_ARRAYS = ("subject", "k", "l", "a", "last", "event_times", "cell", "through")
+
+
+@given(data=records())
+@settings(max_examples=150, deadline=None)
+def test_trajectory_and_column_constructors_agree(data):
+    grid, recs = data
+    subjects = tuple(Trajectory(cov, trt, t) for cov, trt, t in recs)
+    by_records, by_columns = Cohort(subjects, grid), from_columns(grid, recs)
+    assert by_records.subjects == subjects and by_columns.subjects == subjects
+    assert by_records == by_columns and len(by_columns) == len(subjects)
+    a, b = by_records.index, by_columns.index
+    for name in INDEX_ARRAYS:
+        got, want = getattr(b, name), getattr(a, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert not got.flags.writeable
+    assert (a.prefixes, a.covariate_levels, a.treatment_levels) == (b.prefixes, b.covariate_levels, b.treatment_levels)
+
+
+@given(data=st.sampled_from(DEFECTS).flatmap(lambda d: records(defect=d)))
+@settings(max_examples=200, deadline=None)
+def test_invalid_records_raise_the_same_error_through_both_constructors(data):
+    grid, recs = data
+    got = outcome(from_columns, grid, recs)
+    assert isinstance(got, type) and got is outcome(from_trajectories, grid, recs)
+
+
+@given(cohort=cohorts(), shuffle=st.randoms(use_true_random=False))
+@example(cohort=LATE_CELL, shuffle=random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_read_cohort_is_free_of_row_order(cohort, shuffle):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        io.write_cohort(path, cohort)
+        header, *rows = path.read_text().splitlines()
+        shuffle.shuffle(rows)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        back, _ = io.read_cohort(path)
+    first_seen = list(dict.fromkeys(int(row.split(",")[0]) for row in rows))
+    assert back.subjects == tuple(cohort.subjects[i] for i in first_seen)
+    assert back == Cohort(back.subjects, cohort.grid)
+
+
+@st.composite
+def near_clones(draw):
+    """Copies of one record and of two variants that differ from it in one
+    covariate or in one treatment code only."""
+    grid, recs = draw(records())
+    cov, trt, t = recs[0]
+    m = draw(st.integers(0, len(cov) - 1))
+    bump = lambda codes: codes[:m] + [codes[m] + 1] + codes[m + 1:]
+    variants = [(cov, trt, t), (bump(cov), trt, t), (cov, bump(trt), t)] + recs[1:2]
+    return grid, [variants[i] for i in draw(st.lists(st.integers(0, len(variants) - 1), max_size=5))]
+
+
+@given(data=near_clones())
+@settings(max_examples=150, deadline=None)
+def test_degeneracy_check_matches_distinct_subjects(data):
+    cohort = from_trajectories(*data)
+    assert mle._all_identical(cohort) == (len(set(cohort.subjects)) < 2)

@@ -309,3 +309,42 @@ def test_dgp_config_dict_round_trip_for_table_laws(cfg):
         assert got.levels == want.levels and set(got.table) == set(want.table)
         for key, vec in want.table.items():
             assert np.array_equal(got.table[key], vec), (name, key)
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        (["0,0,0.0,1,1,", "0,0,0.0,0,0,", "0,1,,,,0.5"], "line 3: column k"),
+        (["0,0,0.0,1,1,", "0,1,,,,0.5", "0,1,,,,0.7"], "line 4: column T_event"),
+        (["0,0,0.0,1,1,", "0,1,0.0,,,0.5"], "line 3: column tau_k"),
+        (["0,0,0.0,1,1,", "0,1,,1,,0.5"], "line 3: column L1"),
+        (["0,0,0.0,1,1,", "0,1,,,0,0.5"], "line 3: column A"),
+    ],
+)
+def test_repeated_rows_and_filled_terminal_cells_are_rejected(tmp_path, rows, where):
+    p = _write(tmp_path, rows, {"taus": [0.0, 1.0]})
+    with pytest.raises(CohortFormatError, match=where):
+        io.read_cohort(p)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["7,0,0.0,-1,0,", "7,1,,,,0.5"], r"x\.csv: line 2: column L1: code -1"),
+        (["7,0,0.0,0,-2,", "7,1,,,,0.5"], r"x\.csv: line 2: column A: code -2"),
+        (["3,0,0.0,0,0,", "3,1,,,,0.5", "7,0,0.0,0,0,", "7,1,,,,1.5"], r"x\.csv: subject 7 .*k = 1.*implies 2"),
+        (["7,0,0.0,0,0,", "7,0,,,,0.5"], r"x\.csv: subject 7 .*k = 0"),
+        (["7,0,0.0,0,0,", "7,-1,,,,0.5"], r"x\.csv: subject 7 .*k = -1"),
+        (["7,0,0.0,0,0,", "7,2,,,,1.5"], r"x\.csv: subject 7 has visit rows"),
+    ],
+)
+def test_reader_errors_name_the_line_or_the_csv_id(tmp_path, rows, message):
+    p = _write(tmp_path, rows, {"taus": [0.0, 1.0]})
+    with pytest.raises(CohortFormatError, match=message):
+        io.read_cohort(p)
+
+
+def test_infinite_event_time_names_the_line(tmp_path):
+    p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5", "1,0,0.0,0,0,", "1,2,,,,inf"], {"taus": [0.0, 1.0]})
+    with pytest.raises(SnftmError, match="line 5: column T_event"):
+        io.read_cohort(p)
