@@ -5,6 +5,8 @@ prognosis bin and assigning treatment by the regime, and re-applies the
 fitted treatment effects one interval at a time until the candidate event
 time settles.  Built from estimates this approximates the regime-specific
 survival law; built from exact structural ingredients it reproduces it.
+All draws walk together, one visit at a time (``shift.walk_up_array``);
+each equals the scalar ``shift.walk_up`` on its own row of uniforms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     UndefinedCellError,
 )
 from .dgp import DgpConfig
-from .shift import BlipTable, ShiftModel, ShiftParams, default_features, walk_up
+from .shift import BlipTable, ShiftModel, ShiftParams, default_features, in_chunks, per_distinct, walk_up_array
 
 __all__ = ["FittedWorld", "CfSimResult", "simulate_counterfactual"]
 
@@ -50,12 +52,13 @@ class FittedWorld:
     def bin_index(self, t0: float) -> int:
         return bisect.bisect_left(self.thresholds, t0)
 
-    def draw_baseline(self, u: float) -> float:
-        """Inverse-distribution draw from the baseline, ``u`` uniform in [0, 1)."""
+    def draw_baseline(self, u):
+        """Inverse-distribution draw from the baseline, ``u`` uniform in [0, 1)
+        (scalar or array)."""
         if isinstance(self.baseline, SurvivalCurve):
             return self.baseline.quantile(1.0 - u)
         values = self.baseline
-        return float(values[int(u * len(values))])
+        return values[(np.asarray(u) * len(values)).astype(np.intp)]
 
     @classmethod
     def from_dgp_config(cls, cfg: DgpConfig, psi: ShiftParams | None = None) -> "FittedWorld":
@@ -107,11 +110,17 @@ class CfSimResult:
         return zip(self.t_grid, self.survival, self.stderr)
 
 
-def _one_draw(world: FittedWorld, regime: TreatmentRegime, model: ShiftModel, uniforms):
-    t0 = world.draw_baseline(uniforms[0])
-    b = world.bin_index(t0)
+def _walk(world: FittedWorld, regime: TreatmentRegime, uniforms: np.ndarray):
+    """The draws from the rows of ``uniforms`` by one array walk, as cohort
+    columns ``(t, n_visits, l, a)``.  Covariate laws are looked up once per
+    distinct (history, prognosis bin) and the regime's rule is called once
+    per distinct covariate history.  Laws are padded with zero-probability
+    codes to one width, which leaves every draw unchanged."""
+    t0 = world.draw_baseline(uniforms[:, 0])
+    bins = np.searchsorted(np.asarray(world.thresholds), t0, side="left")
+    width = max(map(len, world.covariate_laws.values()), default=0)
 
-    def draw(k, lbar, abar):
+    def law(k, b, lbar, abar):
         key = (k, b, lbar, abar)
         probs = world.covariate_laws.get(key)
         if probs is None:
@@ -119,10 +128,15 @@ def _one_draw(world: FittedWorld, regime: TreatmentRegime, model: ShiftModel, un
                 f"no covariate law for cell {key}; the fitted world has no data "
                 "for this regime-consistent history"
             )
-        l_k = _rng.categorical(probs, uniforms[1 + k])
-        return l_k, int(regime.rules[k](lbar + (l_k,)))
+        return np.pad(probs, (0, width - len(probs)))
 
-    return walk_up(model, t0, draw)
+    def draw(k, rows, hist, prefixes):
+        p = per_distinct(lambda h, b: law(k, b, *prefixes[h]), hist, bins[rows])
+        l_k = _rng.categorical(p, uniforms[rows, 1 + k])
+        a_k = per_distinct(lambda h, l: int(regime.rules[k](prefixes[h][0] + (l,))), hist, l_k)
+        return l_k, a_k
+
+    return walk_up_array(ShiftModel(world.psi, world.grid, world.features), t0, draw)
 
 
 def simulate_counterfactual(
@@ -144,12 +158,8 @@ def simulate_counterfactual(
         hi = 1.5 * grid.taus[-1]
         t_grid = np.linspace(hi / 20, hi, 20)
     t_grid = np.asarray(t_grid, dtype=float)
-    model = ShiftModel(world.psi, grid, world.features)
-    width = grid.K + 2
-    uniforms = _rng.stream(seed, "cfsim").random((n, width))
-    times = np.empty(n)
-    for i in range(n):
-        times[i], _, _ = _one_draw(world, regime, model, uniforms[i])
+    uniforms = _rng.stream(seed, "cfsim").random((n, grid.K + 2))
+    (times,) = in_chunks(lambda u: _walk(world, regime, u)[:1], uniforms)
     surv = (times[:, None] > t_grid[None, :]).mean(axis=0)
     stderr = np.sqrt(surv * (1.0 - surv) / n)
     return CfSimResult(times, t_grid, surv, stderr, float(times.mean()))

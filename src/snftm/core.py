@@ -234,8 +234,11 @@ class SurvivalCurve:
             return 0.0
         return self.mass_above(a) - self.mass_above(b)
 
-    def quantile(self, u: float) -> float:
-        """Exact inverse: the ``t`` with ``eval(t) == u``, for ``u`` in ``(0, 1]``."""
+    def quantile(self, u):
+        """Exact inverse: the ``t`` with ``eval(t) == u``, for ``u`` in ``(0, 1]``
+        (scalar or array; each array element equals the scalar call)."""
+        if np.ndim(u):
+            return self._quantiles(np.asarray(u, dtype=float))
         if not 0.0 < u <= 1.0:
             raise CurveDomainError(f"quantile level must be in (0, 1], got {u}")
         target = -math.log(u)
@@ -250,6 +253,23 @@ class SurvivalCurve:
                     continue
                 return self.bounds[j] + (target - cum[j]) / self.rates[j]
         raise CurveDomainError(f"curve never falls to survival level {u}")
+
+    def _quantiles(self, u: np.ndarray) -> np.ndarray:
+        # The scalar loop's choice of piece, as a mask over (levels x pieces):
+        # the first whose top reaches the target (the last always), where a
+        # zero-rate piece takes only a target on its own level.
+        bad = ~((u > 0.0) & (u <= 1.0))
+        if np.any(bad):
+            raise CurveDomainError(f"quantile level must be in (0, 1], got {u[bad][0]}")
+        target = -np.array(list(map(math.log, u.ravel().tolist()))).reshape(u.shape)
+        cum, r, b = self._cumhaz, self._r, self._b
+        top = np.append(cum[:-1] + r[:-1] * np.diff(b), math.inf)
+        takes = np.where(r == 0.0, target[..., None] == cum, target[..., None] <= top)
+        if not np.all(takes.any(axis=-1)):
+            raise CurveDomainError(f"curve never falls to survival level {u[~takes.any(axis=-1)][0]}")
+        j = np.argmax(takes, axis=-1)
+        flat = r[j] == 0.0
+        return np.where(flat, b[j], b[j] + (target - cum[j]) / np.where(flat, 1.0, r[j]))
 
     def hazard_at(self, t: float) -> float:
         """Hazard on the piece containing ``t`` (pieces are left-open)."""

@@ -7,6 +7,10 @@ depend only on the observed history, and an observed event time obtained by
 sequentially inverting the shift maps.  Removing the treatment blips from the
 observed record therefore recovers the drawn ``T0`` exactly, which is what
 makes every downstream identity checkable without tolerance games.
+
+``sample_cohort`` walks all subjects at once with ``shift.walk_up_array``;
+``sample_trajectory`` draws one subject with the scalar ``shift.walk_up``,
+the reference the array walk reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .core import (
     Trajectory,
     UndefinedCellError,
 )
-from .shift import ShiftModel, ShiftParams, walk_up
+from .shift import ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up, walk_up_array
 
 __all__ = [
     "CovariateLaw",
@@ -244,8 +248,8 @@ class DgpConfig:
         return 1 + 2 * (self.grid.K + 1)
 
 
-def _walk(cfg: DgpConfig, model: ShiftModel, uniforms) -> tuple[float, tuple, tuple]:
-    """One subject's ``(event_time, lbar, abar)`` from its slice of uniforms."""
+def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
+    """One subject's record from its slice of uniforms, by the scalar walk."""
     t0 = cfg.baseline.quantile(1.0 - uniforms[0])
     b = cfg.bin_index(t0)
 
@@ -254,12 +258,26 @@ def _walk(cfg: DgpConfig, model: ShiftModel, uniforms) -> tuple[float, tuple, tu
         a_k = _rng.categorical(cfg.treatment_law.probs(k, lbar + (l_k,), abar), uniforms[2 + 2 * k])
         return l_k, a_k
 
-    return walk_up(model, t0, draw)
-
-
-def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
-    t, lbar, abar = _walk(cfg, model, uniforms)
+    t, lbar, abar = walk_up(model, t0, draw)
     return Trajectory(lbar, abar, t)
+
+
+def _walk(cfg: DgpConfig, uniforms: np.ndarray):
+    """The subjects drawn from the rows of ``uniforms`` by one array walk,
+    as cohort columns: each row gives what :func:`_assemble` gives it.
+    Law rows are looked up once per distinct (history, prognosis bin) and
+    (history, ``l_k``) and drawn row-wise."""
+    t0 = cfg.baseline.quantile(1.0 - uniforms[:, 0])
+    bins = np.searchsorted(np.asarray(cfg.thresholds), t0, side="left")
+    cov, trt = cfg.covariate_law, cfg.treatment_law
+
+    def draw(k, rows, hist, prefixes):
+        p = per_distinct(lambda h, b: cov.probs(k, b, *prefixes[h]), hist, bins[rows])
+        l_k = _rng.categorical(p, uniforms[rows, 1 + 2 * k])
+        q = per_distinct(lambda h, l: trt.probs(k, prefixes[h][0] + (l,), prefixes[h][1]), hist, l_k)
+        return l_k, _rng.categorical(q, uniforms[rows, 2 + 2 * k])
+
+    return walk_up_array(cfg.shift_model(), t0, draw)
 
 
 def sample_trajectory(cfg: DgpConfig, rng: np.random.Generator) -> Trajectory:
@@ -272,17 +290,14 @@ def sample_cohort(cfg: DgpConfig, n: int, seed: int | None = None) -> Cohort:
     """``n`` independent subjects, bit-reproducible per ``(seed, subject)``.
 
     Subject ``i`` consumes a fixed-width slice of one counter-based stream,
-    so its record does not depend on ``n`` or on scheduling.  The walks fill
-    the cohort's columns directly.
+    so its record does not depend on ``n`` or on scheduling.  One array walk
+    over all subjects fills the cohort's columns directly.
     """
     if n < 1:
         raise CohortFormatError(f"cohort size must be >= 1, got {n}")
     seed = cfg.seed if seed is None else seed
     uniforms = _rng.stream(seed, "dgp").random((n, cfg.draws_per_subject))
-    model = cfg.shift_model()
-    times, lbars, abars = zip(*(_walk(cfg, model, u) for u in uniforms))
-    chain = itertools.chain.from_iterable
-    return Cohort.from_columns(cfg.grid, times, list(map(len, lbars)), list(chain(lbars)), list(chain(abars)))
+    return Cohort.from_columns(cfg.grid, *in_chunks(lambda u: _walk(cfg, u), uniforms))
 
 
 def true_conditional_laws(cfg: DgpConfig, max_cells: int = 10_000_000):

@@ -41,10 +41,19 @@ def stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def categorical(probs, u: float) -> int:
+def categorical(probs, u):
     """Inverse-CDF draw of a code from ``probs`` at ``u`` uniform in [0, 1).
     A ``u`` past a cumulative sum rounded below 1 gets the last code with
-    positive probability, never a trailing zero-probability one."""
+    positive probability, never a trailing zero-probability one.
+
+    Row-wise for a ``(rows x codes)`` matrix and a vector ``u``: row ``i``
+    draws at ``u[i]`` with the same sequential sums, so each code equals
+    the draw from that row alone."""
+    if np.ndim(probs) == 2:
+        probs = np.asarray(probs, dtype=float)
+        below = np.asarray(u)[:, None] < np.cumsum(probs, axis=1)
+        fallback = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+        return np.where(below.any(axis=1), np.argmax(below, axis=1), fallback)
     acc = 0.0
     for code, p in enumerate(probs):
         acc += p

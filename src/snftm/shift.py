@@ -15,7 +15,11 @@ baseline dose ``a_k = 0``) gives the identity, i.e. no treatment effect.
 subject would have shown with treatment stopped at a given visit;
 ``walk_up`` inverts that construction visit by visit, turning a
 never-treated time into the time under histories supplied one visit at a
-time; ``blip_up`` runs it on recorded histories.
+time; ``blip_up`` runs it on recorded histories.  ``walk_up_array`` is the
+same walk for many subjects at once, looping over visits instead of
+subjects; it is the sampler behind ``dgp.sample_cohort`` and
+``cfsim.simulate_counterfactual``, and the scalar ``walk_up`` is its
+reference.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .core import (
     InsufficientHistoryError,
     TimeGrid,
     Trajectory,
+    VisitIndex,
 )
 
 __all__ = [
@@ -45,6 +50,9 @@ __all__ = [
     "blip_down",
     "blip_up",
     "walk_up",
+    "walk_up_array",
+    "in_chunks",
+    "per_distinct",
     "BlipTable",
 ]
 
@@ -155,8 +163,9 @@ def walk_up(model: ShiftModel, t0: float, visit) -> tuple[float, tuple, tuple]:
     appends them and applies the inverse shift map of visit ``k`` to the
     candidate time.  It stops at the first interval ``(tau_k, tau_{k+1}]``
     that holds the candidate and returns ``(t, lbar, abar)`` with histories
-    through that visit.  This is the one rank-preserving forward step shared
-    by the data generator, the counterfactual sampler and :func:`blip_up`.
+    through that visit.  This is the rank-preserving forward step of
+    ``dgp.sample_trajectory`` and :func:`blip_up`, and the scalar reference
+    that :func:`walk_up_array` reproduces.
     """
     grid = model.grid
     lbar: tuple[int, ...] = ()
@@ -170,6 +179,71 @@ def walk_up(model: ShiftModel, t0: float, visit) -> tuple[float, tuple, tuple]:
         if t <= grid.next_tau(k):
             return t, lbar, abar
     raise AssertionError("unreachable: the last interval is unbounded")
+
+
+def per_distinct(f, *columns) -> np.ndarray:
+    """``f(*key)`` called once per distinct row of the integer ``columns``
+    (in order of first appearance), the results gathered onto every row."""
+    keys, inverse = VisitIndex.first_seen(np.column_stack(columns))
+    return np.array([f(*key) for key in keys.tolist()])[inverse]
+
+
+def walk_up_array(model: ShiftModel, t0: np.ndarray, visit):
+    """:func:`walk_up` for many subjects at once, looping over visits only.
+
+    At each visit ``k`` the caller's ``visit(k, rows, hist, prefixes)``
+    gets the subjects still walking (``rows``) and the ids of their
+    histories through visit ``k - 1`` (``hist``, where
+    ``prefixes[h] == (lbar, abar)``), and returns the arrays ``(l_k, a_k)``
+    for those rows.  Histories are interned visit by visit, as
+    :class:`~snftm.core.VisitIndex` does, so the scale factor is computed
+    once per distinct history with the scalar :meth:`ShiftModel.scale` and
+    every step is bit-identical to :func:`walk_up`.  Returns the settled
+    times and the visits walked as cohort columns ``(t, n_visits, l, a)``,
+    subject-major (see :meth:`~snftm.core.Cohort.from_columns`).
+    """
+    grid = model.grid
+    t, prefixes, walked = np.array(t0, dtype=float), [((), ())], []
+    rows, hist = np.arange(len(t)), np.zeros(len(t), dtype=np.intp)
+    for k in range(grid.K + 1):
+        l_k, a_k = visit(k, rows, hist, prefixes)
+        tau_k, tau_k1 = grid.taus[k], grid.next_tau(k)
+        v = t[rows]
+        if not np.all(v > tau_k):
+            raise CurveDomainError(f"shift at visit {k} needs t > {tau_k}, got {v[~(v > tau_k)][0]}")
+        keys, inverse = VisitIndex.first_seen(np.column_stack([hist, l_k, a_k]))
+        new = [(prefixes[h][0] + (lk,), prefixes[h][1] + (ak,)) for h, lk, ak in keys.tolist()]
+        s = np.array([model.scale(k, lbar, abar) for lbar, abar in new])[inverse]
+        hist = len(prefixes) + inverse
+        prefixes += new
+        # The inverse shift map, each branch on its own rows; the last
+        # interval is unbounded, so nothing there is past its knee.
+        below = np.ones(len(v), dtype=bool)
+        if k < grid.K:
+            knee = tau_k + (tau_k1 - tau_k) * s
+            below = v <= knee
+            v[~below] = tau_k1 + (v[~below] - knee[~below])
+        v[below] = tau_k + (v[below] - tau_k) / s[below]
+        t[rows] = v
+        walked.append(np.column_stack([rows, l_k, a_k]))
+        rows, hist = rows[v > tau_k1], hist[v > tau_k1]
+        if not len(rows):
+            break
+    w = np.concatenate(walked)
+    w = w[np.argsort(w[:, 0], kind="stable")]
+    return t, np.bincount(w[:, 0], minlength=len(t)), w[:, 1], w[:, 2]
+
+
+CHUNK = 8192
+
+
+def in_chunks(walk, uniforms: np.ndarray) -> tuple:
+    """``walk`` on successive blocks of ``CHUNK`` rows of ``uniforms``, each
+    of its output columns concatenated.  A row's result does not depend on
+    its block; the blocks bound the temporaries of the walk and of the
+    baseline draw to a few MB whatever the number of rows."""
+    parts = [walk(uniforms[i : i + CHUNK]) for i in range(0, len(uniforms), CHUNK)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snftm import cfsim, dgp
-from snftm.core import Trajectory, TreatmentRegime, UndefinedCellError
+from snftm.core import Cohort, TreatmentRegime, UndefinedCellError
 from snftm.shift import ShiftModel, ShiftParams, blip_down
 
 NEVER = TreatmentRegime.baseline(2)
@@ -41,11 +41,9 @@ def test_regime_mean_ordering_matches_oracle(rich_config, rich_world):
 def test_blip_consistency_round_trip(rich_config):
     world = cfsim.FittedWorld.from_dgp_config(rich_config)
     model = ShiftModel(world.psi, world.grid)
-    uniforms = np.linspace(0.02, 0.98, 7)
-    for u0 in uniforms:
-        t, lbar, abar = cfsim._one_draw(world, THRESHOLD, model, [u0, 0.3, 0.7, 0.5])
-        traj = Trajectory(lbar[: world.grid.interval_index(t) + 1],
-                          abar[: world.grid.interval_index(t) + 1], t)
+    uniforms = np.column_stack([np.linspace(0.02, 0.98, 7), np.tile([0.3, 0.7], (7, 1))])
+    draws = Cohort.from_columns(world.grid, *cfsim._walk(world, THRESHOLD, uniforms))
+    for u0, traj in zip(uniforms[:, 0], draws):
         t0 = world.draw_baseline(u0)
         assert blip_down(model, traj) == pytest.approx(t0, rel=1e-13)
 

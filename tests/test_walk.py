@@ -1,8 +1,9 @@
-"""The shared forward walk and categorical draw against the loops they replaced.
+"""The shared forward walks and categorical draw against the loops they replaced.
 
 Each ``_reference_*`` function below is the per-module settle loop as it
-stood before ``shift.walk_up`` existed; the adapters must reproduce it
-bit for bit.
+stood before ``shift.walk_up`` existed; the scalar adapters and the array
+walk (``shift.walk_up_array``) behind ``sample_cohort`` and
+``simulate_counterfactual`` must reproduce it bit for bit, row by row.
 """
 
 import math
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snftm import cfsim, dgp, mle
+from snftm import cfsim, dgp, mle, rng, shift
 from snftm.core import (
+    Cohort,
+    CurveDomainError,
     InsufficientHistoryError,
     SnftmError,
     SurvivalCurve,
@@ -126,6 +129,32 @@ def _reference_log_density(model, traj):
     return total
 
 
+def cf_records(world, regime, uniforms):
+    """The array walk's draws from ``uniforms``, as ``(t, lbar, abar)`` per row."""
+    cohort = Cohort.from_columns(world.grid, *cfsim._walk(world, regime, uniforms))
+    return [(s.event_time, s.covariates, s.treatments) for s in cohort]
+
+
+def cohort_world(cfg, thresholds):
+    """An estimated world: empirical baseline and cell-frequency laws, some cells missing."""
+    cohort = dgp.sample_cohort(cfg, 150, seed=8)
+    return cfsim.FittedWorld.from_cohort(cohort, cfg.psi0, thresholds)
+
+
+def assert_rows_match(batch, single, want):
+    """Every row alone gives its reference outcome; the batch gives all of
+    them, or, when some row fails, the error class of a failing row."""
+    assert single == want
+    errors = {w for w in want if isinstance(w, type)}
+    if errors:
+        assert batch in errors
+    else:
+        assert batch == want
+
+
+ROWS = st.lists(st.lists(UNIFORM, min_size=7, max_size=7), min_size=1, max_size=6)
+
+
 class TestCategorical:
     def test_matches_reference_draw(self):
         probs = np.array([0.2, 0.5, 0.3])
@@ -141,19 +170,32 @@ class TestCategorical:
         assert categorical(probs, u) == 2
         assert categorical(np.asarray(probs), u) == 2
 
+    def test_rows_match_scalar_draws(self):
+        trailing = [0.20381898702851367, 0.7463113329614236, 0.049869680010062596, 0.0]
+        probs = np.array([[0.2, 0.5, 0.3, 0.0], trailing, [0.0, 0.0, 1.0, 0.0], trailing, [0.0] * 4])
+        for u in [*np.linspace(0.0, 1.0, 41, endpoint=False), np.nextafter(1.0, 0.0)]:
+            codes = categorical(probs, np.full(len(probs), u))
+            assert codes.tolist() == [categorical(row, u) for row in probs]
+        codes = categorical(probs, np.array([0.1, np.nextafter(1.0, 0.0), 0.5, 0.95, 0.3]))
+        assert codes.tolist() == [0, 2, 2, 1, 3]
 
-@given(
-    psi=PSI,
-    thresholds=THRESHOLDS,
-    three_visits=st.booleans(),
-    uniforms=st.lists(UNIFORM, min_size=7, max_size=7),
-)
+
+@given(psi=PSI, thresholds=THRESHOLDS, three_visits=st.booleans(), rows=ROWS, zero_row=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_assemble_matches_reference_loop(psi, thresholds, three_visits, uniforms):
+def test_assemble_matches_reference_loop(psi, thresholds, three_visits, rows, zero_row):
     cfg = world_config(psi, thresholds, three_visits)
-    u = np.asarray(uniforms[: cfg.draws_per_subject])
+    u = np.array(rows)[:, : cfg.draws_per_subject]
+    if zero_row:
+        u[0, 0] = 0.0  # t0 = 0: the first shift map is undefined
     model = cfg.shift_model()
-    assert outcome(dgp._assemble, cfg, model, u) == outcome(_reference_assemble, cfg, model, u)
+    want = [outcome(_reference_assemble, cfg, model, row) for row in u]
+    assert [outcome(dgp._assemble, cfg, model, row) for row in u] == want
+
+    def records(uniforms):
+        return list(Cohort.from_columns(cfg.grid, *dgp._walk(cfg, uniforms)))
+
+    single = [outcome(lambda: records(row[None])[0]) for row in u]
+    assert_rows_match(outcome(records, u), single, want)
 
 
 @given(
@@ -161,16 +203,21 @@ def test_assemble_matches_reference_loop(psi, thresholds, three_visits, uniforms
     thresholds=THRESHOLDS,
     three_visits=st.booleans(),
     regime=st.integers(0, len(REGIMES) - 1),
-    uniforms=st.lists(UNIFORM, min_size=4, max_size=4),
+    estimated=st.booleans(),
+    rows=ROWS,
+    zero_row=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_one_draw_matches_reference_loop(psi, thresholds, three_visits, regime, uniforms):
+def test_one_draw_matches_reference_loop(psi, thresholds, three_visits, regime, estimated, rows, zero_row):
     cfg = world_config(psi, thresholds, three_visits)
-    world = cfsim.FittedWorld.from_dgp_config(cfg)
-    model = ShiftModel(world.psi, world.grid)
-    u = uniforms[: world.grid.K + 2]
-    args = (world, REGIMES[regime], model, u)
-    assert outcome(cfsim._one_draw, *args) == outcome(_reference_one_draw, *args)
+    world = cohort_world(cfg, thresholds) if estimated else cfsim.FittedWorld.from_dgp_config(cfg)
+    u = np.array(rows)[:, : world.grid.K + 2]
+    if zero_row:
+        u[0, 0] = 0.0
+    model, g = ShiftModel(world.psi, world.grid), REGIMES[regime]
+    want = [outcome(_reference_one_draw, world, g, model, row) for row in u]
+    single = [outcome(lambda: cf_records(world, g, row[None])[0]) for row in u]
+    assert_rows_match(outcome(cf_records, world, g, u), single, want)
 
 
 def test_one_draw_keeps_the_undefined_cell_message(rich_config):
@@ -179,10 +226,90 @@ def test_one_draw_keeps_the_undefined_cell_message(rich_config):
         world.grid, world.psi, world.thresholds, world.baseline,
         {key: v for key, v in world.covariate_laws.items() if key[0] == 0},
     )
-    model = ShiftModel(world.psi, world.grid)
     regime = TreatmentRegime.static((0, 0))
     with pytest.raises(UndefinedCellError, match="no data for this regime-consistent history"):
-        cfsim._one_draw(sparse, regime, model, [0.99, 0.5, 0.5])
+        cfsim.simulate_counterfactual(sparse, regime, 50, seed=1)
+
+
+@given(psi=PSI, thresholds=THRESHOLDS, three_visits=st.booleans(), seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_sample_cohort_matches_reference_on_its_stream(psi, thresholds, three_visits, seed):
+    cfg = world_config(psi, thresholds, three_visits)
+    uniforms = rng.stream(seed, "dgp").random((40, cfg.draws_per_subject))
+    model = cfg.shift_model()
+    want = [_reference_assemble(cfg, model, row) for row in uniforms]
+    assert list(dgp.sample_cohort(cfg, 40, seed=seed)) == want
+
+
+@given(
+    psi=PSI,
+    thresholds=THRESHOLDS,
+    three_visits=st.booleans(),
+    regime=st.integers(0, len(REGIMES) - 1),
+    estimated=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=25, deadline=None)
+def test_simulate_counterfactual_matches_reference_on_its_stream(psi, thresholds, three_visits, regime, estimated, seed):
+    cfg = world_config(psi, thresholds, three_visits)
+    world = cohort_world(cfg, thresholds) if estimated else cfsim.FittedWorld.from_dgp_config(cfg)
+    model, g = ShiftModel(world.psi, world.grid), REGIMES[regime]
+    uniforms = rng.stream(seed, "cfsim").random((40, world.grid.K + 2))
+    want = [outcome(_reference_one_draw, world, g, model, row) for row in uniforms]
+    got = outcome(lambda: cfsim.simulate_counterfactual(world, g, 40, seed=seed).event_times.tolist())
+    errors = {w for w in want if isinstance(w, type)}
+    assert got in errors if errors else got == [w[0] for w in want]
+
+
+def test_laws_of_unequal_length_draw_like_the_scalar_walk(rich_config):
+    world = cfsim.FittedWorld.from_dgp_config(rich_config)
+    laws = {key: np.append(v, [0.0] * (key[0] + key[1])) for key, v in world.covariate_laws.items()}
+    ragged = cfsim.FittedWorld(world.grid, world.psi, world.thresholds, world.baseline, laws)
+    uniforms = rng.stream(4, "cfsim").random((300, world.grid.K + 2))
+    model = ShiftModel(world.psi, world.grid)
+    want = [_reference_one_draw(ragged, REGIMES[2], model, row)[0] for row in uniforms]
+    assert cfsim.simulate_counterfactual(ragged, REGIMES[2], 300, seed=4).event_times.tolist() == want
+
+
+def test_chunks_do_not_change_the_draws(rich_config, monkeypatch):
+    world = cfsim.FittedWorld.from_dgp_config(rich_config)
+    cohort = dgp.sample_cohort(rich_config, 100, seed=6)
+    times = cfsim.simulate_counterfactual(world, REGIMES[2], 100, seed=6).event_times
+    monkeypatch.setattr(shift, "CHUNK", 7)
+    assert dgp.sample_cohort(rich_config, 100, seed=6) == cohort
+    assert cfsim.simulate_counterfactual(world, REGIMES[2], 100, seed=6).event_times.tobytes() == times.tobytes()
+
+
+@pytest.mark.parametrize("estimated", [False, True])
+def test_zero_baseline_time_still_fails_in_the_array_walks(rich_config, estimated):
+    u = np.array([[0.3, 0.5, 0.5, 0.5, 0.5], [0.0, 0.5, 0.5, 0.5, 0.5]])
+    with pytest.raises(CurveDomainError, match="needs t > 0.0, got 0.0"):
+        dgp._walk(rich_config, u)
+    world = cfsim.FittedWorld.from_dgp_config(rich_config)
+    if estimated:  # an empirical baseline whose smallest time is 0
+        world = cfsim.FittedWorld(world.grid, world.psi, world.thresholds,
+                                  np.array([0.0, 0.4, 1.3]), world.covariate_laws)
+    with pytest.raises(CurveDomainError, match="needs t > 0.0, got 0.0"):
+        cfsim._walk(world, REGIMES[1], u[:, :3])
+
+
+@given(
+    rates=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 4.0)), min_size=1, max_size=4),
+    levels=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.integers(0, 3)), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantile_array_matches_scalar_calls(rates, levels):
+    curve = SurvivalCurve(tuple(0.3 * j for j in range(len(rates))), tuple(rates))
+    # An integer stands for the survival at that breakpoint: a zero-rate
+    # piece is flat there, the scalar loop's special case.
+    u = np.array([curve.eval(curve.bounds[min(x, len(rates) - 1)]) if isinstance(x, int) else x for x in levels])
+    want = [outcome(curve.quantile, float(x)) for x in u]
+    if any(isinstance(w, type) for w in want):
+        with pytest.raises(CurveDomainError):
+            curve.quantile(u)
+    else:
+        assert curve.quantile(u).tobytes() == np.array(want, dtype=float).tobytes()
+        assert curve.quantile(u.reshape(-1, 1)).ravel().tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @given(
