@@ -25,6 +25,7 @@ from .core import (
     TimeGrid,
     TreatmentRegime,
     UndefinedCellError,
+    require_visits,
 )
 from .dgp import DgpConfig
 from .shift import BlipTable, ShiftModel, ShiftParams, default_features, in_chunks, per_distinct, walk_up_array
@@ -154,6 +155,7 @@ def simulate_counterfactual(
     if n < 1:
         raise CohortFormatError(f"need n >= 1, got {n}")
     grid = world.grid
+    require_visits(regime, grid.K + 1)
     if t_grid is None:
         hi = 1.5 * grid.taus[-1]
         t_grid = np.linspace(hi / 20, hi, 20)

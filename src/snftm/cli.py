@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -158,20 +157,7 @@ def _cmd_mle(args) -> int:
 
 
 def _cmd_cfsim(args) -> int:
-    spec = io_mod._load_json(args.world)
-    if "dgp" in spec:
-        cfg = io_mod.load_dgp_config(Path(args.world).parent / spec["dgp"])
-        psi = ShiftParams(tuple(spec["psi"])) if "psi" in spec else None
-        world = cfsim_mod.FittedWorld.from_dgp_config(cfg, psi)
-    elif "cohort" in spec:
-        cohort, _ = io_mod.read_cohort(Path(args.world).parent / spec["cohort"])
-        world = cfsim_mod.FittedWorld.from_cohort(
-            cohort,
-            ShiftParams(tuple(spec["psi"])),
-            tuple(spec.get("thresholds", ())),
-        )
-    else:
-        raise SnftmError("world config needs a 'dgp' or 'cohort' entry")
+    world = io_mod.load_fitted_world(args.world)
     regime = io_mod.load_regime(args.regime, world.grid.K + 1)
     t_grid = io_mod.parse_t_grid(args.t_grid) if args.t_grid else None
     res = cfsim_mod.simulate_counterfactual(

@@ -39,6 +39,7 @@ __all__ = [
     "VisitIndex",
     "TreatmentRegime",
     "apply_regime",
+    "require_visits",
     "is_evaluable",
     "all_regimes",
 ]
@@ -203,8 +204,7 @@ class SurvivalCurve:
         return self.bounds[0]
 
     def _piece(self, t):
-        idx = np.searchsorted(self._b, t, side="left") - 1
-        return np.clip(idx, 0, len(self.bounds) - 1)
+        return np.maximum(np.searchsorted(self._b, t, side="left") - 1, 0)
 
     def cum_hazard(self, t):
         j = self._piece(t)
@@ -580,6 +580,12 @@ def apply_regime(regime: TreatmentRegime, lbar: CovariateHistory) -> TreatmentHi
             f"history of length {len(lbar)} exceeds the regime's {len(regime.rules)} visits"
         )
     return tuple(int(regime.rules[m](lbar[: m + 1])) for m in range(len(lbar)))
+
+
+def require_visits(regime: TreatmentRegime, n_visits: int) -> None:
+    """Raise ``GridBoundsError`` unless ``regime`` has a rule for each of ``n_visits`` visits."""
+    if len(regime.rules) < n_visits:
+        raise GridBoundsError(f"world of {n_visits} visits exceeds the regime's {len(regime.rules)} visits")
 
 
 def is_evaluable(regime: TreatmentRegime, law) -> bool:

@@ -28,6 +28,7 @@ from .core import (
     TimeGrid,
     TreatmentRegime,
 )
+from .cfsim import FittedWorld
 from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
 from .gest import GFeature, TreatmentModelSpec
 from .mle import ParametricModel
@@ -45,6 +46,7 @@ __all__ = [
     "load_treatment_spec",
     "mle_template_from_dict",
     "load_mle_template",
+    "load_fitted_world",
     "atomic_write_text",
 ]
 
@@ -96,15 +98,20 @@ def write_cohort(path, cohort: Cohort, covariate_levels=None, treatment_levels=N
     return side_path
 
 
-def _sidecar_list(meta: dict, name: str, side_path, length: int | None = None) -> list:
-    """Field ``name``: finite numbers, or with ``length`` that many non-negative integers."""
-    raw = meta[name]
-    if length is None:
-        ok, what = (lambda v: type(v) in (int, float) and -math.inf < v < math.inf), "finite numbers"
+def _list_field(d: dict, name: str, where, length: int | None = None, ints: bool = False,
+                at_most: bool = False) -> list:
+    """Field ``name`` of ``d``: finite numbers or, with ``ints``, non-negative
+    integers; with ``length``, exactly (or ``at_most``) that many."""
+    raw = d[name]
+    if ints:
+        ok, what = (lambda v: type(v) is int and v >= 0), "non-negative integers"
     else:
-        ok, what = (lambda v: type(v) is int and v >= 0), f"{length} non-negative integers"
-    if not isinstance(raw, list) or not all(map(ok, raw)) or length not in (None, len(raw)):
-        raise CohortFormatError(f"{side_path}: field {name!r} must be a list of {what}, got {raw!r}")
+        ok, what = (lambda v: type(v) in (int, float) and -math.inf < v < math.inf), "finite numbers"
+    size = "" if length is None else f"{'at most ' if at_most else ''}{length} "
+    if not isinstance(raw, list) or not all(map(ok, raw)) or (
+        length not in (None, len(raw)) and not (at_most and len(raw) < length)
+    ):
+        raise CohortFormatError(f"{where}: field {name!r} must be a list of {size}{what}, got {raw!r}")
     return raw
 
 
@@ -135,9 +142,9 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
         raise CohortFormatError(f"{side_path}: invalid JSON at line {e.lineno} column {e.colno}") from None
     if not isinstance(meta, dict) or "taus" not in meta:
         raise CohortFormatError(f"{side_path}: missing field 'taus'")
-    grid = TimeGrid(tuple(_sidecar_list(meta, "taus", side_path)))
+    grid = TimeGrid(tuple(_list_field(meta, "taus", side_path)))
     K, taus = grid.K, grid.taus
-    declared = [(j, column, _sidecar_list(meta, name, side_path, K + 1) 
+    declared = [(j, column, _list_field(meta, name, side_path, K + 1, ints=True)
                  if name in meta else [math.inf] * (K + 1))
                 for j, (column, name) in enumerate((("L1", "covariate_levels"), ("A", "treatment_levels")))]
 
@@ -232,6 +239,9 @@ def _law_to_dict(law) -> dict:
     return {"kind": "table", "levels": list(law.levels), "entries": entries}
 
 
+_WORLD_KEYS = ("schema_version", "taus", "baseline", "thresholds", "covariate_law", "treatment_law", "psi0", "seed")
+
+
 def dgp_config_to_dict(cfg: DgpConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -265,6 +275,7 @@ _treatment_law_from_dict = functools.partial(_law_from_dict, TreatmentLaw)
 
 
 def dgp_config_from_dict(d: dict) -> DgpConfig:
+    _known_keys(d, _WORLD_KEYS, "world config")
     try:
         return DgpConfig(
             grid=TimeGrid(tuple(d["taus"])),
@@ -292,23 +303,48 @@ def load_dgp_config(path) -> DgpConfig:
     return dgp_config_from_dict(_load_json(path))
 
 
+_REGIME_KEYS = {  # kind -> (required keys, optional keys)
+    "static": (("doses",), ()),
+    "threshold": (("level",), ("dose",)),
+    "never": ((), ()),
+    "stopped": (("prefix",), ()),
+    "table": (("tables",), ("label",)),
+}
+
+
 def regime_from_dict(d: dict, n_visits: int) -> TreatmentRegime:
-    kind = d.get("kind")
+    """A regime for a world of ``n_visits`` visits: ``static`` doses and
+    ``table`` tables give exactly one entry per visit, a ``stopped`` prefix
+    at most that many."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _REGIME_KEYS:
+        raise CohortFormatError(f"unknown regime kind {kind!r}; expected one of {list(_REGIME_KEYS)}")
+    required, optional = _REGIME_KEYS[kind]
+    what = f"{kind} regime"
+    _known_keys(d, ("kind", *required, *optional), what, required)
     if kind == "static":
-        return TreatmentRegime.static(d["doses"])
+        return TreatmentRegime.static(_list_field(d, "doses", what, n_visits, ints=True))
     if kind == "threshold":
-        return TreatmentRegime.threshold(n_visits, level=int(d["level"]), dose=int(d.get("dose", 1)))
+        level, dose = d["level"], d.get("dose", 1)
+        if not all(type(v) is int and v >= 0 for v in (level, dose)):
+            raise CohortFormatError(f"{what}: fields 'level' and 'dose' must be non-negative integers, "
+                                    f"got {level!r} and {dose!r}")
+        return TreatmentRegime.threshold(n_visits, level=level, dose=dose)
     if kind == "never":
         return TreatmentRegime.baseline(n_visits)
     if kind == "stopped":
-        return TreatmentRegime.stopped(d["prefix"], n_visits)
-    if kind == "table":
+        return TreatmentRegime.stopped(_list_field(d, "prefix", what, n_visits, ints=True, at_most=True), n_visits)
+    try:
         tables = [
             {tuple(int(v) for v in key.split(",") if v != ""): int(a) for key, a in t.items()}
             for t in d["tables"]
         ]
-        return TreatmentRegime.from_tables(tables, label=d.get("label", "table"))
-    raise CohortFormatError(f"unknown regime kind {kind!r}")
+    except (AttributeError, TypeError, ValueError):
+        tables = None
+    if not isinstance(d["tables"], list) or tables is None or len(tables) != n_visits:
+        raise CohortFormatError(f"{what}: field 'tables' must be a list of {n_visits} objects mapping "
+                                f"'l_0,...,l_k' to a dose, got {d['tables']!r}")
+    return TreatmentRegime.from_tables(tables, label=d.get("label", "table"))
 
 
 def load_regime(path, n_visits: int) -> TreatmentRegime:
@@ -327,12 +363,15 @@ def _knots_from_list(raw) -> tuple[float, ...]:
     return knots
 
 
-def _known_keys(d, allowed: tuple[str, ...], what: str) -> dict:
+def _known_keys(d, allowed: tuple[str, ...], what: str, required: tuple[str, ...] = ()) -> dict:
     if not isinstance(d, dict):
         raise CohortFormatError(f"{what} must be a JSON object, got {d!r}")
     unknown = [key for key in d if key not in allowed]
     if unknown:
         raise CohortFormatError(f"unknown {what} key(s) {unknown}; expected some of {list(allowed)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise CohortFormatError(f"{what} is missing field(s) {missing}")
     return d
 
 
@@ -370,6 +409,31 @@ def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
 
 def load_mle_template(path, grid: TimeGrid) -> ParametricModel:
     return mle_template_from_dict(_load_json(path), grid)
+
+
+def load_fitted_world(path) -> FittedWorld:
+    """A ``cfsim`` world file: ``{"dgp": file}`` with an optional ``psi``
+    (the exact world), or ``{"cohort": file, "psi": [...]}`` with optional
+    ``thresholds`` (the estimated world).  Files are relative to ``path``;
+    ``psi`` holds 3 finite numbers, ``thresholds`` positive increasing ones."""
+    spec = _load_json(path)
+    kind = next((key for key in ("dgp", "cohort") if isinstance(spec, dict) and key in spec), None)
+    if kind is None:
+        raise CohortFormatError(f"{path}: world file needs a 'dgp' or 'cohort' entry")
+    what = f"{kind} world file {path}"
+    _known_keys(spec, ("dgp", "psi") if kind == "dgp" else ("cohort", "psi", "thresholds"), what,
+                () if kind == "dgp" else ("psi",))
+    if not isinstance(spec[kind], str):
+        raise CohortFormatError(f"{what}: field {kind!r} must be a file name, got {spec[kind]!r}")
+    psi = ShiftParams(tuple(_list_field(spec, "psi", what, 3))) if "psi" in spec else None
+    if kind == "dgp":
+        return FittedWorld.from_dgp_config(load_dgp_config(Path(path).parent / spec["dgp"]), psi)
+    thresholds = tuple(_list_field(spec, "thresholds", what)) if "thresholds" in spec else ()
+    if any(c <= 0.0 for c in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise CohortFormatError(f"{what}: field 'thresholds' must be positive and strictly increasing, "
+                                f"got {list(thresholds)}")
+    cohort, _ = read_cohort(Path(path).parent / spec["cohort"])
+    return FittedWorld.from_cohort(cohort, psi, thresholds)
 
 
 def parse_t_grid(text: str) -> np.ndarray:

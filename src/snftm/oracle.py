@@ -26,6 +26,7 @@ from .core import (
     all_regimes,
     apply_regime,
     is_evaluable,
+    require_visits,
 )
 from .dgp import DgpConfig
 from .gcomp import ConditionalLaws, s_conditional, s_marginal
@@ -71,26 +72,28 @@ class _Node:
         return grid.tau(self.k) + (x - grid.tau(self.k) - self.d_prev) / self.scale
 
 
-_ROOT = _Node(-1, (), (), None, -math.inf, 0.0, 0.0, 1.0)
+def _mixture_mass(baseline: SurvivalCurve, bin_edges, weights, above: float, upto: float = math.inf) -> float:
+    """Baseline mass in ``(above, upto]``, prognosis bin ``b`` weighted by ``weights[b]``."""
+    return sum(
+        w * baseline.interval_mass(max(above, bin_edges[b]), min(upto, bin_edges[b + 1]))
+        for b, w in enumerate(weights)
+        if w > 0.0
+    )
 
 
-def _enumerate_stages(cfg: DgpConfig, psi: ShiftParams, regime=None, max_cells=1_000_000):
-    """Unroll all positive-probability paths; with ``regime`` set, treatments
-    follow the regime instead of the treatment law (counterfactual world)."""
+def _enumerate_stages(cfg: DgpConfig, psi: ShiftParams, root: _Node, regime=None, max_cells=1_000_000):
+    """Unroll all positive-probability paths below ``root``; with ``regime``
+    set, treatments follow the regime instead of the treatment law
+    (counterfactual world)."""
     grid = cfg.grid
     model = ShiftModel(psi, grid)
     B = cfg.n_bins
     stages: list[dict] = [{} for _ in range(grid.K + 1)]
     count = 0
     for k in range(grid.K + 1):
-        parents = [_ROOT] if k == 0 else list(stages[k - 1].values())
+        parents = [root] if k == 0 else list(stages[k - 1].values())
         for parent in parents:
-            parent_pi = np.ones(B) if parent is _ROOT else parent.pi
-            d_prev = (
-                0.0
-                if parent is _ROOT
-                else parent.d_prev + grid.delta(k - 1) * (parent.scale - 1.0)
-            )
+            d_prev = 0.0 if k == 0 else parent.d_prev + grid.delta(k - 1) * (parent.scale - 1.0)
             for l in range(cfg.covariate_law.levels[k]):
                 pl = np.array(
                     [
@@ -98,7 +101,7 @@ def _enumerate_stages(cfg: DgpConfig, psi: ShiftParams, regime=None, max_cells=1
                         for b in range(B)
                     ]
                 )
-                pi_l = parent_pi * pl
+                pi_l = parent.pi * pl
                 if not pi_l.any():
                     continue
                 lbar = parent.lbar + (l,)
@@ -143,12 +146,8 @@ class ExactIntervalSurvival:
     offset: float
     slope: float
 
-    def _mass(self, b: int, x: float) -> float:
-        lo, hi = max(x, self.bin_edges[b]), self.bin_edges[b + 1]
-        return self.baseline.interval_mass(lo, hi)
-
     def _n(self, x: float) -> float:
-        return sum(w * self._mass(b, x) for b, w in enumerate(self.weights) if w > 0.0)
+        return _mixture_mass(self.baseline, self.bin_edges, self.weights, x)
 
     def eval(self, t: float) -> float:
         if not self.t_lo <= t <= self.t_hi:
@@ -222,9 +221,11 @@ class EnumeratedWorld:
     def __init__(self, cfg: DgpConfig, max_cells: int = 1_000_000):
         self.cfg = cfg
         self.max_cells = max_cells
-        self.stages = _enumerate_stages(cfg, cfg.psi0, max_cells=max_cells)
+        self.root = _Node(-1, (), (), np.ones(cfg.n_bins), -math.inf, 0.0, 0.0, 1.0)  # the empty history
+        self.stages = _enumerate_stages(cfg, cfg.psi0, self.root, max_cells=max_cells)
         self.bin_edges = (0.0,) + cfg.thresholds + (math.inf,)
         self._laws = None
+        self._regime_memo = (None, None)  # (regime, its stages): a one-entry memo
 
     # -- exact-law handle interface -------------------------------------
 
@@ -241,12 +242,18 @@ class EnumeratedWorld:
         hi = min(upto, self.bin_edges[b + 1])
         return self.cfg.baseline.interval_mass(lo, hi)
 
-    def _node_mass(self, node: _Node, above: float, upto: float = math.inf) -> float:
-        """Mass of the atom's never-treated times in ``(above, upto]``."""
-        return sum(w * self._bin_mass(b, above, upto) for b, w in enumerate(node.pi) if w > 0.0)
-
     def _alive_mass(self, node: _Node) -> float:
-        return self._node_mass(node, node.u_alive)
+        return _mixture_mass(self.cfg.baseline, self.bin_edges, node.pi, node.u_alive)
+
+    def _cell_law(self, parent: _Node, m: int) -> np.ndarray:
+        """Unnormalised law of ``L_m`` after ``parent``: entry ``l`` is
+        ``P(Lbar_m = parent.lbar + (l,), Abar_{m-1} = parent.abar, T > tau_m)``."""
+        vec = np.zeros(self.covariate_levels[m])
+        for b, w in enumerate(parent.pi):
+            if w > 0.0:
+                pl = self.cfg.covariate_law.probs(m, b, parent.lbar, parent.abar)
+                vec += w * self._bin_mass(b, parent.u_next) * pl
+        return vec
 
     def history_prob(self, lbar, abar) -> float:
         """Exact ``P(Lbar = lbar, Abar = abar, T > tau_k)`` with ``k = len(lbar) - 1``;
@@ -257,16 +264,8 @@ class EnumeratedWorld:
             node = self.stages[k].get((lbar, abar))
             return 0.0 if node is None else self._alive_mass(node)
         if len(abar) == k:
-            parent = _ROOT if k == 0 else self.stages[k - 1].get((lbar[:-1], abar))
-            if parent is None:
-                return 0.0
-            parent_pi = np.ones(self.cfg.n_bins) if parent is _ROOT else parent.pi
-            total = 0.0
-            for b in range(self.cfg.n_bins):
-                if parent_pi[b] > 0.0:
-                    pl = self.cfg.covariate_law.probs(k, b, lbar[:-1], abar)[lbar[-1]]
-                    total += parent_pi[b] * pl * self._bin_mass(b, parent.u_next)
-            return total
+            parent = self.root if k == 0 else self.stages[k - 1].get((lbar[:-1], abar))
+            return 0.0 if parent is None else self._cell_law(parent, k)[lbar[-1]]
         raise CohortFormatError("treatment history must have length k or k+1")
 
     # -- exact conditional laws ------------------------------------------
@@ -274,28 +273,16 @@ class EnumeratedWorld:
     def conditional_laws(self) -> ConditionalLaws:
         if self._laws is not None:
             return self._laws
-        grid, B = self.grid, self.cfg.n_bins
+        grid = self.grid
         transitions: dict = {}
         curves: dict = {}
-
-        def transition_for(parent: _Node, m: int):
-            parent_pi = np.ones(B) if parent is _ROOT else parent.pi
-            vec = np.zeros(self.covariate_levels[m])
-            for b in range(B):
-                if parent_pi[b] > 0.0:
-                    pl = self.cfg.covariate_law.probs(m, b, parent.lbar, parent.abar)
-                    vec += parent_pi[b] * self._bin_mass(b, parent.u_next) * pl
-            return vec / vec.sum() if vec.sum() > 0.0 else None
-
-        vec0 = transition_for(_ROOT, 0)
-        if vec0 is None:
+        for m in range(grid.K + 1):
+            for node in [self.root] if m == 0 else [n for _, n in sorted(self.stages[m - 1].items())]:
+                vec = self._cell_law(node, m)
+                if vec.sum() > 0.0:
+                    transitions[(m, node.lbar, node.abar)] = vec / vec.sum()
+        if (0, (), ()) not in transitions:
             raise CohortFormatError("the configured world has no mass at enrollment")
-        transitions[(0, (), ())] = vec0
-        for m in range(1, grid.K + 1):
-            for (lbar, abar), node in sorted(self.stages[m - 1].items()):
-                vec = transition_for(node, m)
-                if vec is not None:
-                    transitions[(m, lbar, abar)] = vec
         for m in range(1, grid.K + 2):
             for (lbar, abar), node in sorted(self.stages[m - 1].items()):
                 if self._alive_mass(node) > 0.0:
@@ -316,7 +303,14 @@ class EnumeratedWorld:
     # -- exact counterfactual quantities ----------------------------------
 
     def _regime_stages(self, regime: TreatmentRegime):
-        return _enumerate_stages(self.cfg, self.cfg.psi0, regime=regime, max_cells=self.max_cells)
+        """The counterfactual world under ``regime``, enumerated once for a
+        run of calls with the same regime object (callers loop over t inside
+        one regime; a one-entry memo keeps memory flat over many regimes)."""
+        if self._regime_memo[0] is not regime:
+            require_visits(regime, self.grid.K + 1)
+            stages = _enumerate_stages(self.cfg, self.cfg.psi0, self.root, regime, self.max_cells)
+            self._regime_memo = (regime, stages)
+        return self._regime_memo[1]
 
     def counterfactual_survival(self, regime: TreatmentRegime, t: float, given=None) -> float:
         """Exact ``P(T^g > t)``, optionally given an initial covariate history
@@ -325,30 +319,30 @@ class EnumeratedWorld:
             raise CurveDomainError(f"need t > 0, got {t}")
         stages = self._regime_stages(regime)
         grid = self.grid
-        p = grid.interval_index(t)
-        if given is None:
-            return sum((self._node_mass(node, node.t0_of_t(grid, t)) for node in stages[p].values()), 0.0)
-        given = tuple(given)
+        given = () if given is None else tuple(given)
         k = len(given) - 1
-        if not t > grid.tau(k):
-            raise CurveDomainError(f"conditional survival needs t > tau_{k}")
-        abar = apply_regime(regime, given)
-        anchor = stages[k].get((given, abar))
-        if anchor is None or self._alive_mass(anchor) <= 0.0:
-            raise CurveDomainError(f"conditioning history {given} has probability 0 under the regime")
+        alive = 1.0  # the empty history: P(T > tau_0) = 1
+        if given:
+            if not t > grid.tau(k):
+                raise CurveDomainError(f"conditional survival needs t > tau_{k}")
+            anchor = stages[k].get((given, apply_regime(regime, given)))
+            alive = 0.0 if anchor is None else self._alive_mass(anchor)
+            if alive <= 0.0:
+                raise CurveDomainError(f"conditioning history {given} has probability 0 under the regime")
         num = sum(
-            (self._node_mass(node, node.t0_of_t(grid, t)) for (lbar, _a), node in stages[p].items()
-             if lbar[: k + 1] == given),
+            (_mixture_mass(self.cfg.baseline, self.bin_edges, node.pi, node.t0_of_t(grid, t))
+             for (lbar, _a), node in stages[grid.interval_index(t)].items() if lbar[: k + 1] == given),
             0.0,
         )
-        return num / self._alive_mass(anchor)
+        return num / alive
 
     def counterfactual_mean(self, regime: TreatmentRegime) -> float:
         """Exact ``E[T^g]`` by closed-form integration over death atoms."""
         grid = self.grid
+        stages = self._regime_stages(regime)
         total = 0.0
         for k in range(grid.K + 1):
-            for node in self._regime_stages(regime)[k].values():
+            for node in stages[k].values():
                 shift_const = grid.tau(k) - (grid.tau(k) + node.d_prev) / node.scale
                 for b, w in enumerate(node.pi):
                     if w <= 0.0:
@@ -451,7 +445,7 @@ def _mass_t0gamma_above(world, model, node, x: float, from_visit: int = 0) -> fl
         x0 = node.u_alive
     else:
         x0 = max(node.u_alive, node.t0_of_t(grid, t_star))
-    return world._node_mass(node, x0, node.u_next)
+    return _mixture_mass(world.cfg.baseline, world.bin_edges, node.pi, x0, node.u_next)
 
 
 def _descendants(world: EnumeratedWorld, lbar, abar) -> list:
@@ -585,14 +579,8 @@ def verify_null_equivalence(
             world.covariate_levels, world.cfg.treatment_law.levels, cap=cap, seed=regime_seed
         )
         evaluable = [g for g in regimes if is_evaluable(g, world)]
-        worst = 0.0
-        base_curve = None
-        for g in evaluable:
-            curve = np.array([world.counterfactual_survival(g, float(t)) for t in t_grid])
-            if base_curve is None:
-                base_curve = curve
-            else:
-                worst = max(worst, float(np.max(np.abs(curve - base_curve))))
+        curves = [np.array([world.counterfactual_survival(g, float(t)) for t in t_grid]) for g in evaluable]
+        worst = max((float(np.max(np.abs(curve - curves[0]))) for curve in curves[1:]), default=0.0)
         details = (
             f"all shift maps are the identity; {len(evaluable)} evaluable regimes compared"
             + (" (seeded subset)" if sampled else ""),
@@ -615,13 +603,9 @@ def verify_null_equivalence(
     skipped = ()
     if not (is_evaluable(g1, world) and is_evaluable(g2, world)):
         skipped = ("witness regimes not evaluable; baseline admissibility violated?",)
-    dev = max(
-        abs(
-            world.counterfactual_survival(g1, float(t))
-            - world.counterfactual_survival(g2, float(t))
-        )
-        for t in t_grid
-    )
+    # one regime at a time, so each is enumerated once
+    curve1, curve2 = ([world.counterfactual_survival(g, float(t)) for t in t_grid] for g in (g1, g2))
+    dev = max(abs(s1 - s2) for s1, s2 in zip(curve1, curve2))
     details = (
         f"non-identity cell at visit {k}, histories {lbar}/{abar}; "
         f"witness curves separate by {dev:.3e}",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -24,6 +25,41 @@ def make_config(psi0=RICH_PSI, bin_coef=-1.2, seed=42, baseline=None, thresholds
     )
     trt = dgp.TreatmentLaw.from_logistic(2, intercept=-0.8, l_coef=1.4, a_prev_coef=0.6)
     return dgp.DgpConfig(grid, baseline, thresholds, cov, trt, ShiftParams(psi0), seed=seed)
+
+
+def table_law_config(levels, psi0=RICH_PSI, thresholds=(1.5,)):
+    """A world with table laws for any covariate level vector, one visit per
+    entry, 0.8 apart, binary doses.  Worse prognosis bins favour high
+    covariate codes, which favour dosing: confounding as in
+    :func:`make_config`, with every dose at every history possible."""
+    n = len(levels)
+    treatment_levels = (2,) * n
+
+    def law(n_codes, slope):
+        weights = [math.exp(slope * j / max(n_codes - 1, 1)) for j in range(n_codes)]
+        return [w / sum(weights) for w in weights]
+
+    def last(hist, level_counts):
+        return hist[-1] / max(level_counts[len(hist) - 1] - 1, 1) if hist else 0.0
+
+    cov, trt = {}, {}
+    for k in range(n):
+        for lprev in itertools.product(*map(range, levels[:k])):
+            for aprev in itertools.product(*map(range, treatment_levels[:k])):
+                l_in, a_in = last(lprev, levels), last(aprev, treatment_levels)
+                for b in range(len(thresholds) + 1):
+                    cov[(k, b, lprev, aprev)] = law(levels[k], -0.4 - 0.8 * b + 0.7 * l_in - 0.4 * a_in)
+                for l_k in range(levels[k]):
+                    l_now = last(lprev + (l_k,), levels)
+                    trt[(k, lprev + (l_k,), aprev)] = law(treatment_levels[k], -0.5 + 1.1 * l_now + 0.9 * a_in)
+    return dgp.DgpConfig(
+        TimeGrid(tuple(0.8 * k for k in range(n))),
+        SurvivalCurve((0.0, 1.0, 2.0), (0.6, 0.4, 0.3)),
+        thresholds,
+        dgp.CovariateLaw(tuple(levels), cov),
+        dgp.TreatmentLaw(treatment_levels, trt),
+        ShiftParams(psi0),
+    )
 
 
 def make_smooth_null_config(seed=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snftm import cfsim, dgp
-from snftm.core import Cohort, TreatmentRegime, UndefinedCellError
+from snftm.core import Cohort, GridBoundsError, TreatmentRegime, UndefinedCellError
 from snftm.shift import ShiftModel, ShiftParams, blip_down
 
 NEVER = TreatmentRegime.baseline(2)
@@ -63,6 +63,12 @@ def test_seed_determinism(rich_config):
     a = cfsim.simulate_counterfactual(world, THRESHOLD, 300, seed=7)
     b = cfsim.simulate_counterfactual(world, THRESHOLD, 300, seed=7)
     np.testing.assert_array_equal(a.event_times, b.event_times)
+
+
+def test_regime_with_too_few_visits_is_a_grid_error(rich_config):
+    world = cfsim.FittedWorld.from_dgp_config(rich_config)
+    with pytest.raises(GridBoundsError, match="world of 2 visits exceeds the regime's 1 visits"):
+        cfsim.simulate_counterfactual(world, TreatmentRegime.static((1,)), 100, seed=1)
 
 
 def test_missing_cell_error_names_cell(rich_config):

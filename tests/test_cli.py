@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from snftm import io
 from snftm.cli import main
@@ -146,3 +147,31 @@ def test_log_line_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     logged = json.loads(err.splitlines()[0])
     assert logged["command"] == "verify" and logged["suite"] == "null"
+
+
+@pytest.mark.parametrize(
+    "world, regime, field",
+    [
+        ({"dgp": "demo_dgp.json"}, {"kind": "static", "doses": [1]}, "'doses'"),
+        ({"dgp": "demo_dgp.json"}, {"kind": "threshold"}, "'level'"),
+        ({"cohort": "c.csv"}, {"kind": "never"}, "'psi'"),
+        ({"dgp": "demo_dgp.json", "psi": 0.5}, {"kind": "never"}, "'psi'"),
+        ({"dgp": "demo_dgp.json", "thresholds": [1.5]}, {"kind": "never"}, "'thresholds'"),
+        ({"cohort": 3, "psi": [0.0, 0.0, 0.0]}, {"kind": "never"}, "'cohort'"),
+        ({"cohort": "c.csv", "psi": [0.5, 0.0, 0.0], "thresholds": [2.0, 1.0]}, {"kind": "never"}, "'thresholds'"),
+        ({"dgp": "bad_dgp.json"}, {"kind": "never"}, "'psi'"),
+    ],
+)
+def test_cfsim_input_errors_name_the_field(tmp_path, capsys, world, regime, field):
+    demo = json.loads((CONFIGS / "demo_dgp.json").read_text())
+    (tmp_path / "demo_dgp.json").write_text(json.dumps(demo))
+    (tmp_path / "bad_dgp.json").write_text(json.dumps({**demo, "psi": demo["psi0"]}))
+    (tmp_path / "w.json").write_text(json.dumps(world))
+    (tmp_path / "r.json").write_text(json.dumps(regime))
+    assert run_cli(
+        "cfsim", "--world", tmp_path / "w.json", "--regime", tmp_path / "r.json",
+        "--n", 10, "--out", tmp_path / "cf.csv",
+    ) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("snftm: error:")]
+    assert len(errors) == 1 and field in errors[0], errors
+    assert not (tmp_path / "cf.csv").exists()

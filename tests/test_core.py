@@ -116,6 +116,40 @@ class TestSurvivalCurve:
         assert s.mass_above(math.inf) == 0.0
         assert s.interval_mass(2.0, 1.0) == 0.0
 
+    @given(
+        start=st.floats(-1.0, 1.0),
+        widths=st.lists(st.floats(0.05, 2.0), min_size=0, max_size=4),
+        picks=st.lists(
+            st.one_of(st.floats(-3.0, 12.0), st.integers(-1, 5), st.sampled_from([math.inf, -math.inf])),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_piece_matches_clip_reference(self, start, widths, picks):
+        bounds = [start]
+        for w in widths:
+            bounds.append(bounds[-1] + w)
+        s = SurvivalCurve(tuple(bounds), (0.5,) * len(bounds))
+        def point(x):
+            # An integer picks t below the start (-1), on bound x, or past the last bound.
+            if not isinstance(x, int):
+                return x
+            if x < 0:
+                return bounds[0] - 1.0
+            return bounds[x] if x < len(bounds) else bounds[-1] + x
+
+        ts = [point(x) for x in picks]
+
+        def reference(t):
+            return np.clip(np.searchsorted(s._b, t, side="left") - 1, 0, len(s.bounds) - 1)
+
+        for t in ts:
+            got, want = s._piece(t), reference(t)
+            assert got == want and got.dtype == want.dtype and np.ndim(got) == 0
+        arr = np.array(ts)
+        assert s._piece(arr).tobytes() == reference(arr).tobytes()
+        assert s._piece(arr.reshape(-1, 1)).shape == reference(arr.reshape(-1, 1)).shape
+
 
 class TestTrajectoryCohort:
     def test_validation(self):

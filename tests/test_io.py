@@ -100,6 +100,8 @@ def test_regime_codecs():
         ({"kind": "static", "doses": [1, 0]}, (0, 1), (1, 0)),
         ({"kind": "threshold", "level": 1}, (0, 1), (0, 1)),
         ({"kind": "stopped", "prefix": [1]}, (1, 1), (1, 0)),
+        ({"kind": "stopped", "prefix": []}, (1, 1), (0, 0)),
+        ({"kind": "stopped", "prefix": [1, 1]}, (0, 0), (1, 1)),
     ):
         g = io.regime_from_dict(d, 2)
         assert apply_regime(g, lbar) == expect
@@ -109,6 +111,32 @@ def test_regime_codecs():
     assert apply_regime(table, (0, 1)) == (1, 1)
     with pytest.raises(CohortFormatError):
         io.regime_from_dict({"kind": "mystery"}, 2)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ({"kind": "static", "doses": [1]}, "field 'doses' must be a list of 2 non-negative integers"),
+        ({"kind": "static", "doses": [1, 1, 0]}, "field 'doses' must be a list of 2 "),
+        ({"kind": "stopped", "prefix": [1, 0, 1]}, "field 'prefix' must be a list of at most 2 "),
+        ({"kind": "table", "tables": [{"0": 1, "1": 0}]}, "field 'tables' must be a list of 2 objects"),
+        ({"kind": "threshold"}, r"missing field\(s\) \['level'\]"),
+        ({"kind": "threshold", "level": 1, "dose": "1"}, "'level' and 'dose' must be non-negative integers"),
+        ({"kind": "static", "doses": [1, 1], "label": "x"}, r"unknown static regime key\(s\) \['label'\]"),
+        ({"doses": [1, 1]}, "unknown regime kind None"),
+        ([1, 1], "unknown regime kind None"),
+    ],
+)
+def test_regime_fields_are_checked_against_the_visit_count(d, message):
+    with pytest.raises(CohortFormatError, match=message):
+        io.regime_from_dict(d, 2)
+
+
+def test_world_config_keys_are_strict(rich_config):
+    d = io.dgp_config_to_dict(rich_config)
+    assert "schema_version" in d and io.dgp_config_from_dict(d).psi0 == rich_config.psi0
+    with pytest.raises(CohortFormatError, match=r"unknown world config key\(s\) \['psi'\]"):
+        io.dgp_config_from_dict({**d, "psi": [0.0, 0.0, 0.0]})
 
 
 def test_t_grid_parser():

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from snftm import dgp, oracle
-from snftm.core import InstanceTooLargeError, TimeGrid, TreatmentRegime
+from snftm import dgp, io, oracle
+from snftm.core import GridBoundsError, InstanceTooLargeError, TimeGrid, TreatmentRegime
 from snftm.shift import ShiftParams
 
-from conftest import make_config
+from conftest import make_config, table_law_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 THRESHOLD = TreatmentRegime.threshold(2, level=1)
 
@@ -165,3 +169,59 @@ def test_run_suite_shapes(rich_world):
     assert as_dict["passed"] is True and "worst_abs_error" in as_dict
     with pytest.raises(Exception):
         oracle.run_suite(rich_world, "bogus")
+
+
+def test_gcomp_suite_enumerates_each_regime_once(monkeypatch):
+    calls = []
+    enumerate_stages = oracle._enumerate_stages
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return enumerate_stages(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_enumerate_stages", counting)
+    world = oracle.enumerate_world(io.load_dgp_config(CONFIGS / "demo_dgp.json"))
+    reports = oracle.run_suite(world, "gcomp")
+    assert len(reports) == 64 and all(r.passed for r in reports.values())
+    assert len(calls) == 65  # the observed world, then one per regime
+
+
+def test_alternating_regimes_match_fresh_worlds(rich_config):
+    shared = oracle.enumerate_world(rich_config)
+    regimes = (THRESHOLD, TreatmentRegime.static((1, 1)))
+
+    def queries(world, g):
+        return [
+            world.counterfactual_survival(g, 0.4),
+            world.counterfactual_survival(g, 2.5),
+            world.counterfactual_survival(g, 1.3, given=(1,)),
+            world.counterfactual_mean(g),
+        ]
+
+    got = [queries(shared, g) for _ in range(2) for g in regimes]
+    want = [queries(oracle.enumerate_world(rich_config), g) for _ in range(2) for g in regimes]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_regime_with_too_few_visits_is_a_grid_error(rich_world):
+    with pytest.raises(GridBoundsError, match="world of 2 visits exceeds the regime's 1 visits"):
+        rich_world.counterfactual_survival(TreatmentRegime.static((1,)), 1.0)
+
+
+@pytest.fixture(scope="module")
+def irregular_world():
+    """Three visits with covariate levels (2, 3, 2), table laws."""
+    return oracle.enumerate_world(table_law_config((2, 3, 2), psi0=(-0.5, 0.3, -0.2)))
+
+
+def test_gcomputation_on_irregular_levels(irregular_world):
+    for g in (TreatmentRegime.baseline(3), TreatmentRegime.static((1, 1, 1)), TreatmentRegime.threshold(3, level=1)):
+        rep = oracle.verify_gcomputation(irregular_world, g)
+        assert rep.passed and not rep.skipped and rep.worst < 1e-10, rep
+
+
+def test_blip_suite_on_irregular_levels(irregular_world):
+    reports = oracle.run_suite(irregular_world, "blip")
+    assert len(reports) == 3
+    for rep in reports.values():
+        assert rep.passed and rep.worst < 1e-12, rep

@@ -28,15 +28,16 @@ from snftm.core import (
 from snftm.rng import categorical
 from snftm.shift import ShiftModel, ShiftParams, blip_up, gamma, gamma_deriv, gamma_inv
 
-from conftest import make_config, make_smooth_null_config
+from conftest import make_config, make_smooth_null_config, table_law_config
 
 PSI = st.tuples(*(st.floats(-1.5, 1.5) for _ in range(3)))
 UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
 THRESHOLDS = st.sampled_from([(1.5,), (0.4, 1.0, 2.5), (1.0,), ()])
+VISITS = st.sampled_from([2, 3, 4])
 REGIMES = (
-    TreatmentRegime.baseline(3),
-    TreatmentRegime.static((1, 1, 1)),
-    TreatmentRegime.threshold(3, level=1),
+    TreatmentRegime.baseline(4),
+    TreatmentRegime.static((1, 1, 1, 1)),
+    TreatmentRegime.threshold(4, level=1),
 )
 
 
@@ -50,8 +51,12 @@ def three_visit_config(psi0, thresholds):
     return dgp.DgpConfig(grid, baseline, thresholds, cov, trt, ShiftParams(psi0))
 
 
-def world_config(psi, thresholds, three_visits):
-    if three_visits:
+def world_config(psi, thresholds, visits):
+    """The 2- and 3-visit logistic worlds, or a 4-visit table-law world with
+    covariate levels (2, 3, 2, 3)."""
+    if visits == 4:
+        return table_law_config((2, 3, 2, 3), psi0=psi, thresholds=thresholds)
+    if visits == 3:
         return three_visit_config(psi, thresholds)
     return make_config(psi0=psi, thresholds=thresholds)
 
@@ -152,7 +157,7 @@ def assert_rows_match(batch, single, want):
         assert batch == want
 
 
-ROWS = st.lists(st.lists(UNIFORM, min_size=7, max_size=7), min_size=1, max_size=6)
+ROWS = st.lists(st.lists(UNIFORM, min_size=9, max_size=9), min_size=1, max_size=6)
 
 
 class TestCategorical:
@@ -180,10 +185,10 @@ class TestCategorical:
         assert codes.tolist() == [0, 2, 2, 1, 3]
 
 
-@given(psi=PSI, thresholds=THRESHOLDS, three_visits=st.booleans(), rows=ROWS, zero_row=st.booleans())
+@given(psi=PSI, thresholds=THRESHOLDS, visits=VISITS, rows=ROWS, zero_row=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_assemble_matches_reference_loop(psi, thresholds, three_visits, rows, zero_row):
-    cfg = world_config(psi, thresholds, three_visits)
+def test_assemble_matches_reference_loop(psi, thresholds, visits, rows, zero_row):
+    cfg = world_config(psi, thresholds, visits)
     u = np.array(rows)[:, : cfg.draws_per_subject]
     if zero_row:
         u[0, 0] = 0.0  # t0 = 0: the first shift map is undefined
@@ -201,15 +206,15 @@ def test_assemble_matches_reference_loop(psi, thresholds, three_visits, rows, ze
 @given(
     psi=PSI,
     thresholds=THRESHOLDS,
-    three_visits=st.booleans(),
+    visits=VISITS,
     regime=st.integers(0, len(REGIMES) - 1),
     estimated=st.booleans(),
     rows=ROWS,
     zero_row=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_one_draw_matches_reference_loop(psi, thresholds, three_visits, regime, estimated, rows, zero_row):
-    cfg = world_config(psi, thresholds, three_visits)
+def test_one_draw_matches_reference_loop(psi, thresholds, visits, regime, estimated, rows, zero_row):
+    cfg = world_config(psi, thresholds, visits)
     world = cohort_world(cfg, thresholds) if estimated else cfsim.FittedWorld.from_dgp_config(cfg)
     u = np.array(rows)[:, : world.grid.K + 2]
     if zero_row:
@@ -231,10 +236,10 @@ def test_one_draw_keeps_the_undefined_cell_message(rich_config):
         cfsim.simulate_counterfactual(sparse, regime, 50, seed=1)
 
 
-@given(psi=PSI, thresholds=THRESHOLDS, three_visits=st.booleans(), seed=st.integers(0, 2**31))
+@given(psi=PSI, thresholds=THRESHOLDS, visits=VISITS, seed=st.integers(0, 2**31))
 @settings(max_examples=25, deadline=None)
-def test_sample_cohort_matches_reference_on_its_stream(psi, thresholds, three_visits, seed):
-    cfg = world_config(psi, thresholds, three_visits)
+def test_sample_cohort_matches_reference_on_its_stream(psi, thresholds, visits, seed):
+    cfg = world_config(psi, thresholds, visits)
     uniforms = rng.stream(seed, "dgp").random((40, cfg.draws_per_subject))
     model = cfg.shift_model()
     want = [_reference_assemble(cfg, model, row) for row in uniforms]
@@ -244,14 +249,14 @@ def test_sample_cohort_matches_reference_on_its_stream(psi, thresholds, three_vi
 @given(
     psi=PSI,
     thresholds=THRESHOLDS,
-    three_visits=st.booleans(),
+    visits=VISITS,
     regime=st.integers(0, len(REGIMES) - 1),
     estimated=st.booleans(),
     seed=st.integers(0, 2**31),
 )
 @settings(max_examples=25, deadline=None)
-def test_simulate_counterfactual_matches_reference_on_its_stream(psi, thresholds, three_visits, regime, estimated, seed):
-    cfg = world_config(psi, thresholds, three_visits)
+def test_simulate_counterfactual_matches_reference_on_its_stream(psi, thresholds, visits, regime, estimated, seed):
+    cfg = world_config(psi, thresholds, visits)
     world = cohort_world(cfg, thresholds) if estimated else cfsim.FittedWorld.from_dgp_config(cfg)
     model, g = ShiftModel(world.psi, world.grid), REGIMES[regime]
     uniforms = rng.stream(seed, "cfsim").random((40, world.grid.K + 2))
