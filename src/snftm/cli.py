@@ -67,7 +67,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_laws(path, args):
+def _load_laws(path):
     if str(path).endswith(".csv"):
         cohort, _meta = io_mod.read_cohort(path)
         return gcomp_mod.estimate_laws(cohort), cohort.grid
@@ -76,7 +76,7 @@ def _load_laws(path, args):
 
 
 def _cmd_gcomp(args) -> int:
-    laws, grid = _load_laws(args.laws, args)
+    laws, grid = _load_laws(args.laws)
     regime = io_mod.load_regime(args.regime, grid.K + 1)
     t_grid = io_mod.parse_t_grid(args.t_grid)
     if args.mc:

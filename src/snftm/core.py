@@ -9,6 +9,7 @@ always means "no treatment".
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,8 +157,7 @@ class TimeGrid:
         """The visit index ``p`` with ``tau_p < t <= tau_{p+1}`` (``K`` past the grid)."""
         if not t > 0.0:
             raise GridBoundsError(f"interval_index needs t > 0, got {t}")
-        p = int(np.searchsorted(self._taus_arr, t, side="left")) - 1
-        return min(p, self.K)
+        return min(bisect.bisect_left(self.taus, t) - 1, self.K)
 
 
 # ---------------------------------------------------------------------------
@@ -190,42 +190,35 @@ class SurvivalCurve:
             raise CurveDomainError(f"breakpoints must be strictly increasing: {bounds}")
         if any(not math.isfinite(r) or r < 0.0 for r in rates):
             raise CurveDomainError(f"hazard rates must be finite and >= 0: {rates}")
-        if not math.isfinite(bounds[0]):
-            raise CurveDomainError("support start must be finite")
-        b = np.asarray(bounds)
-        r = np.asarray(rates)
-        cum = np.concatenate([[0.0], np.cumsum(r[:-1] * np.diff(b))])
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_r", r)
-        object.__setattr__(self, "_cumhaz", cum)
+        if not all(map(math.isfinite, bounds)):
+            raise CurveDomainError(f"breakpoints must be finite: {bounds}")
+        cum = itertools.accumulate((r * (hi - lo) for r, lo, hi in zip(rates, bounds, bounds[1:])), initial=0.0)
+        object.__setattr__(self, "_cumhaz", tuple(cum))
 
     @property
     def support_start(self) -> float:
         return self.bounds[0]
 
-    def _piece(self, t):
-        return np.maximum(np.searchsorted(self._b, t, side="left") - 1, 0)
+    def _piece(self, t: float) -> int:
+        return max(bisect.bisect_left(self.bounds, t) - 1, 0)
 
-    def cum_hazard(self, t):
+    def cum_hazard(self, t: float) -> float:
         j = self._piece(t)
-        return self._cumhaz[j] + self._r[j] * (np.asarray(t, dtype=float) - self._b[j])
+        return self._cumhaz[j] + self.rates[j] * (t - self.bounds[j])
 
     def eval(self, t):
-        """Survival probability at ``t`` (scalar or array), ``t >= support_start``."""
-        if np.any(np.asarray(t) < self.support_start):
-            raise CurveDomainError(
-                f"curve is defined on [{self.support_start}, inf), got t={t}"
-            )
-        out = np.exp(-self.cum_hazard(t))
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        """Survival probability at ``t >= support_start``; an array maps the scalar call elementwise."""
+        if np.ndim(t):
+            return np.vectorize(self.eval, otypes=[float])(t)
+        if t < self.support_start:
+            raise CurveDomainError(f"curve is defined on [{self.support_start}, inf), got t={t}")
+        return float(np.exp(-self.cum_hazard(t)))
 
     def mass_above(self, x) -> float:
         """``P(T > x)`` with no domain restriction (1 at or below the start)."""
         x = max(float(x), self.support_start)
-        if math.isinf(x):
-            if self.rates[-1] > 0.0:
-                return 0.0
-            return float(np.exp(-self._cumhaz[-1]))
+        if math.isinf(x) and self.rates[-1] == 0.0:
+            x = self.bounds[-1]  # a flat tail keeps its last level (0 * inf would be nan)
         return float(np.exp(-self.cum_hazard(x)))
 
     def interval_mass(self, a: float, b: float) -> float:
@@ -242,16 +235,12 @@ class SurvivalCurve:
         if not 0.0 < u <= 1.0:
             raise CurveDomainError(f"quantile level must be in (0, 1], got {u}")
         target = -math.log(u)
-        cum = self._cumhaz
-        for j in range(len(self.bounds)):
-            width = (self.bounds[j + 1] - self.bounds[j]) if j + 1 < len(self.bounds) else math.inf
-            top = cum[j] + self.rates[j] * width
-            if target <= top or j == len(self.bounds) - 1:
-                if self.rates[j] == 0.0:
-                    if target == cum[j]:
-                        return self.bounds[j]
-                    continue
-                return self.bounds[j] + (target - cum[j]) / self.rates[j]
+        for lo, hi, r, cum in zip(self.bounds, self.bounds[1:] + (math.inf,), self.rates, self._cumhaz):
+            if target <= cum + r * (hi - lo) or hi == math.inf:  # the last piece takes any target
+                if r > 0.0:
+                    return lo + (target - cum) / r
+                if target == cum:
+                    return lo
         raise CurveDomainError(f"curve never falls to survival level {u}")
 
     def _quantiles(self, u: np.ndarray) -> np.ndarray:
@@ -262,7 +251,7 @@ class SurvivalCurve:
         if np.any(bad):
             raise CurveDomainError(f"quantile level must be in (0, 1], got {u[bad][0]}")
         target = -np.array(list(map(math.log, u.ravel().tolist()))).reshape(u.shape)
-        cum, r, b = self._cumhaz, self._r, self._b
+        cum, r, b = np.asarray(self._cumhaz), np.asarray(self.rates), np.asarray(self.bounds)
         top = np.append(cum[:-1] + r[:-1] * np.diff(b), math.inf)
         takes = np.where(r == 0.0, target[..., None] == cum, target[..., None] <= top)
         if not np.all(takes.any(axis=-1)):
@@ -275,7 +264,7 @@ class SurvivalCurve:
         """Hazard on the piece containing ``t`` (pieces are left-open)."""
         if t <= self.support_start:
             raise CurveDomainError(f"hazard undefined at or before {self.support_start}")
-        return self.rates[int(self._piece(t))]
+        return self.rates[self._piece(t)]
 
     def density(self, t: float) -> float:
         return self.hazard_at(t) * self.eval(t)
@@ -284,13 +273,13 @@ class SurvivalCurve:
         h = self.hazard_at(t)
         if h == 0.0:
             return -math.inf
-        return math.log(h) - float(self.cum_hazard(t))
+        return math.log(h) - self.cum_hazard(t)
 
     def conditional_from(self, x: float) -> "SurvivalCurve":
         """The curve of ``T | T > x``, i.e. renormalized to start at ``x``."""
         if x < self.support_start:
             raise CurveDomainError(f"cannot condition on T > {x} before the support start")
-        j = int(self._piece(x)) if x > self.support_start else 0
+        j = self._piece(x)
         keep = tuple(b for b in self.bounds[j + 1 :] if b > x)
         return SurvivalCurve((x,) + keep, self.rates[len(self.bounds) - len(keep) - 1 :])
 
@@ -299,9 +288,7 @@ class SurvivalCurve:
         if b <= a:
             return 0.0
         total = 0.0
-        for j, r in enumerate(self.rates):
-            lo = self.bounds[j]
-            hi = self.bounds[j + 1] if j + 1 < len(self.bounds) else math.inf
+        for lo, hi, r in zip(self.bounds, self.bounds[1:] + (math.inf,), self.rates):
             x, y = max(a, lo), min(b, hi)
             if y <= x or r == 0.0:
                 continue
@@ -313,9 +300,8 @@ class SurvivalCurve:
     def mean(self) -> float:
         """Expected value ``E[T]``; ``inf`` when a zero-rate tail never decays."""
         total = self.support_start
-        for j, r in enumerate(self.rates):
-            s_j = math.exp(-self._cumhaz[j])
-            width = (self.bounds[j + 1] - self.bounds[j]) if j + 1 < len(self.bounds) else math.inf
+        for lo, hi, r, cum in zip(self.bounds, self.bounds[1:] + (math.inf,), self.rates, self._cumhaz):
+            s_j, width = math.exp(-cum), hi - lo
             if r == 0.0:
                 if math.isinf(width):
                     return math.inf

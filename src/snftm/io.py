@@ -257,13 +257,14 @@ def dgp_config_to_dict(cfg: DgpConfig) -> dict:
 
 def _law_from_dict(law_cls, d: dict):
     """The inverse of :func:`_law_to_dict` for ``CovariateLaw`` or ``TreatmentLaw``."""
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind == "logistic":
         try:
             return law_cls.from_logistic(**{key: v for key, v in d.items() if key != "kind"})
         except TypeError as e:
             raise CohortFormatError(f"bad logistic {law_cls.__name__}: {e}") from None
     if kind == "table":
+        _known_keys(d, ("kind", "levels", "entries"), f"table {law_cls.__name__}", ("levels", "entries"))
         key = lambda parts: tuple(tuple(p) if isinstance(p, list) else int(p) for p in parts)
         table = {key(entry[:-1]): np.asarray(entry[-1]) for entry in d["entries"]}
         return law_cls(tuple(d["levels"]), table)
@@ -275,15 +276,18 @@ _treatment_law_from_dict = functools.partial(_law_from_dict, TreatmentLaw)
 
 
 def dgp_config_from_dict(d: dict) -> DgpConfig:
-    _known_keys(d, _WORLD_KEYS, "world config")
+    what = "world config"
+    _known_keys(d, _WORLD_KEYS, what)
     try:
+        where = f"{what} 'baseline'"
+        base = _known_keys(d["baseline"], ("bounds", "rates"), where, ("bounds", "rates"))
         return DgpConfig(
-            grid=TimeGrid(tuple(d["taus"])),
-            baseline=SurvivalCurve(tuple(d["baseline"]["bounds"]), tuple(d["baseline"]["rates"])),
-            thresholds=tuple(d["thresholds"]),
+            grid=TimeGrid(tuple(_list_field(d, "taus", what))),
+            baseline=SurvivalCurve(*(tuple(_list_field(base, key, where)) for key in ("bounds", "rates"))),
+            thresholds=tuple(_list_field(d, "thresholds", what)),
             covariate_law=_covariate_law_from_dict(d["covariate_law"]),
             treatment_law=_treatment_law_from_dict(d["treatment_law"]),
-            psi0=ShiftParams(tuple(d["psi0"])),
+            psi0=ShiftParams(tuple(_list_field(d, "psi0", what, 3))),
             seed=int(d.get("seed", 0)),
         )
     except KeyError as e:
@@ -375,20 +379,30 @@ def _known_keys(d, allowed: tuple[str, ...], what: str, required: tuple[str, ...
     return d
 
 
+def _field(d: dict, name: str, where, default, ok, what: str):
+    """Optional field ``name`` of ``d`` (``default`` when absent), which ``ok`` must accept."""
+    v = d.get(name, default)
+    if not ok(v):
+        raise CohortFormatError(f"{where}: field {name!r} must be {what}, got {v!r}")
+    return v
+
+
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
-    _known_keys(d, ("f_terms", "g", "components", "psi_dim"), "treatment spec")
-    g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), "treatment spec 'g'")
-    clip = g.get("clip")
+    what, where_g = "treatment spec", "treatment spec 'g'"
+    _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
+    g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
+    names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
+    count = lambda v: type(v) is int and v >= 0
     return TreatmentModelSpec(
-        f_terms=tuple(d.get("f_terms", ("intercept", "l", "a_prev"))),
+        f_terms=tuple(_field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")),
         g=GFeature(
-            clip=tuple(clip) if clip else None,
-            log=bool(g.get("log", False)),
-            powers=int(g.get("powers", 1)),
+            clip=None if g.get("clip") is None else tuple(_list_field(g, "clip", where_g, 2)),
+            log=_field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false"),
+            powers=_field(g, "powers", where_g, 1, count, "a non-negative integer"),
             knots=_knots_from_list(g.get("knots") or ()),
         ),
-        components=tuple(d.get("components", (0,))),
-        psi_dim=int(d.get("psi_dim", 3)),
+        components=tuple(_list_field(d, "components", what, ints=True)) if "components" in d else (0,),
+        psi_dim=_field(d, "psi_dim", what, 3, count, "a non-negative integer"),
     )
 
 
@@ -397,13 +411,13 @@ def load_treatment_spec(path) -> TreatmentModelSpec:
 
 
 def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
-    _known_keys(d, ("baseline_bounds", "bins", "psi_init"), "mle template")
-    psi_init = d.get("psi_init")
+    what = "mle template"
+    _known_keys(d, ("baseline_bounds", "bins", "psi_init"), what, ("baseline_bounds",))
     return ParametricModel.template(
         grid,
-        tuple(d["baseline_bounds"]),
-        tuple(d.get("bins", ())),
-        psi_init=ShiftParams(tuple(psi_init)) if psi_init else None,
+        tuple(_list_field(d, "baseline_bounds", what)),
+        tuple(_list_field(d, "bins", what)) if "bins" in d else (),
+        psi_init=None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, 3))),
     )
 
 

@@ -181,7 +181,7 @@ def _quadratic_surface(f, x0, w):
     return grad, hess
 
 
-def _observed_information(neg, x0, n):
+def _observed_information(neg, x0):
     """Two-pass window calibration: a rough window sets the statistical
     scale, the refit window is about one standard error per axis."""
     d = len(x0)
@@ -312,7 +312,7 @@ def fit(
         if best is None or res.fun < best.fun:
             best = res
     psi_hat = np.asarray(best.x, dtype=float)
-    grad, info = _observed_information(neg, psi_hat, tables.n)
+    grad, info = _observed_information(neg, psi_hat)
     psi_cov = np.linalg.inv(info)
     grad_norm = float(np.max(np.abs(grad))) / tables.n
     ll, rates, grouped = tables.profile(psi_hat)
@@ -361,7 +361,7 @@ def test_null(cohort: Cohort, fitted: MleFit, restricted: MleFit | None = None) 
     wald = float(psi_hat @ fitted.information @ psi_hat)
 
     neg = lambda psi: -tables.profile(psi)[0]
-    grad0, info0 = _observed_information(neg, np.zeros(d), tables.n)
+    grad0, info0 = _observed_information(neg, np.zeros(d))
     score_vec = -grad0
     score = float(score_vec @ np.linalg.solve(info0, score_vec))
     return MleTestReport(

@@ -11,6 +11,7 @@ null-equivalence theorems — no sampling, no quadrature.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,12 +74,10 @@ class _Node:
 
 
 def _mixture_mass(baseline: SurvivalCurve, bin_edges, weights, above: float, upto: float = math.inf) -> float:
-    """Baseline mass in ``(above, upto]``, prognosis bin ``b`` weighted by ``weights[b]``."""
-    return sum(
-        w * baseline.interval_mass(max(above, bin_edges[b]), min(upto, bin_edges[b + 1]))
-        for b, w in enumerate(weights)
-        if w > 0.0
-    )
+    """Baseline mass in ``(above, upto]``, prognosis bin ``b`` weighted by ``weights[b]``;
+    each bin edge is clamped into that range and read once (a bin outside it adds 0.0)."""
+    s = [baseline.mass_above(min(max(e, above), upto)) for e in bin_edges]
+    return sum(w * (s[b] - s[b + 1]) for b, w in enumerate(weights) if w > 0.0)
 
 
 def _enumerate_stages(cfg: DgpConfig, psi: ShiftParams, root: _Node, regime=None, max_cells=1_000_000):
@@ -176,7 +175,7 @@ class ExactIntervalSurvival:
         for xa, xb in zip(cuts, cuts[1:]):
             n_b = self._n(xb) if math.isfinite(xb) else 0.0
             if n_b <= target:
-                b = int(np.searchsorted(np.asarray(self.bin_edges[1:-1]), xa, side="right"))
+                b = bisect.bisect_right(self.bin_edges, xa, 1, len(self.bin_edges) - 1) - 1
                 w = self.weights[b]
                 if w <= 0.0:
                     if self._n(xa) == target:

@@ -175,3 +175,50 @@ def test_cfsim_input_errors_name_the_field(tmp_path, capsys, world, regime, fiel
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("snftm: error:")]
     assert len(errors) == 1 and field in errors[0], errors
     assert not (tmp_path / "cf.csv").exists()
+
+
+def _one_error_line(capsys, field):
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("snftm: error:")]
+    assert len(errors) == 1 and field in errors[0] and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", [("simulate", "--n", 10, "--out", "c.csv"), ("verify", "--suite", "blip")])
+def test_world_config_errors_name_the_field(tmp_path, capsys, command):
+    demo = json.loads((CONFIGS / "demo_dgp.json").read_text())
+    (tmp_path / "w.json").write_text(json.dumps({**demo, "psi0": [0.5]}))
+    sub, *rest = command
+    assert run_cli(sub, "--dgp", tmp_path / "w.json", *(tmp_path / a if a == "c.csv" else a for a in rest)) == 1
+    _one_error_line(capsys, "'psi0'")
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cohort") / "c.csv"
+    assert run_cli("simulate", "--dgp", CONFIGS / "demo_dgp.json", "--n", 300, "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, content, field",
+    [
+        ("mle", {}, "'baseline_bounds'"),
+        ("mle", {"baseline_bounds": [0.0, "x"]}, "'baseline_bounds'"),
+        ("gtest", {"f_terms": 5}, "'f_terms'"),
+        ("gtest", {"psi_dim": "x"}, "'psi_dim'"),
+        ("gtest", {"g": {"clip": "ab"}}, "'clip'"),
+        ("gtest", {"components": [0.5]}, "'components'"),
+        ("estimate", {"components": [0.5]}, "'components'"),
+    ],
+)
+def test_spec_and_template_errors_name_the_field(tmp_path, capsys, small_cohort, command, content, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out.json"
+    extra = {"mle": ("--model", path), "gtest": ("--spec", path),
+             "estimate": ("--spec", path, "--box=-1.5:0.5", "--no-ci")}[command]
+    capsys.readouterr()
+    assert run_cli(command, "--cohort", small_cohort, *extra, "--out", out) == 1
+    _one_error_line(capsys, field)
+    assert not out.exists()

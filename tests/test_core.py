@@ -141,14 +141,11 @@ class TestSurvivalCurve:
         ts = [point(x) for x in picks]
 
         def reference(t):
-            return np.clip(np.searchsorted(s._b, t, side="left") - 1, 0, len(s.bounds) - 1)
+            return np.clip(np.searchsorted(np.asarray(s.bounds), t, side="left") - 1, 0, len(s.bounds) - 1)
 
         for t in ts:
-            got, want = s._piece(t), reference(t)
-            assert got == want and got.dtype == want.dtype and np.ndim(got) == 0
-        arr = np.array(ts)
-        assert s._piece(arr).tobytes() == reference(arr).tobytes()
-        assert s._piece(arr.reshape(-1, 1)).shape == reference(arr.reshape(-1, 1)).shape
+            got = s._piece(t)
+            assert type(got) is int and got == int(reference(t))
 
 
 class TestTrajectoryCohort:
@@ -231,3 +228,113 @@ class TestEvaluability:
     def test_law_handle_must_be_exact(self):
         with pytest.raises(UnsupportedLawError):
             is_evaluable(TreatmentRegime.baseline(2), object())
+
+
+class _NumpyCurve:
+    """The array formulas ``SurvivalCurve`` once evaluated by (``searchsorted``
+    pieces, ``cumsum`` hazards), kept as the reference for its scalar methods."""
+
+    def __init__(self, bounds, rates):
+        self.bounds, self.rates = bounds, rates
+        self.b, self.r = np.asarray(bounds, dtype=float), np.asarray(rates, dtype=float)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.r[:-1] * np.diff(self.b))])
+
+    def piece(self, t):
+        return np.maximum(np.searchsorted(self.b, t, side="left") - 1, 0)
+
+    def cum_hazard(self, t):
+        j = self.piece(t)
+        with np.errstate(invalid="ignore"):  # 0 * inf on a flat tail is nan, as in plain floats
+            return self.cum[j] + self.r[j] * (np.asarray(t, dtype=float) - self.b[j])
+
+    def eval(self, t):
+        return float(np.exp(-self.cum_hazard(t)))
+
+    def mass_above(self, x):
+        x = max(float(x), self.bounds[0])
+        if math.isinf(x):
+            return 0.0 if self.rates[-1] > 0.0 else float(np.exp(-self.cum[-1]))
+        return self.eval(x)
+
+    def interval_mass(self, a, b):
+        return 0.0 if b <= a else self.mass_above(a) - self.mass_above(b)
+
+    def hazard_at(self, t):
+        return self.rates[int(self.piece(t))]
+
+    def log_density(self, t):
+        h = self.hazard_at(t)
+        return -math.inf if h == 0.0 else math.log(h) - float(self.cum_hazard(t))
+
+    def conditional_from(self, x):
+        j = int(self.piece(x)) if x > self.bounds[0] else 0
+        keep = tuple(b for b in self.bounds[j + 1 :] if b > x)
+        return (x,) + keep, self.rates[len(self.bounds) - len(keep) - 1 :]
+
+
+def _same(got, want):
+    """Equal bit for bit, up to the payload of a NaN."""
+    if isinstance(want, float) and math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+_pieces = st.lists(st.tuples(st.floats(0.05, 2.0), st.sampled_from([0.0, 0.3]) | st.floats(0.01, 3.0)), max_size=4)
+
+
+@given(
+    start=st.floats(-1.0, 1.0),
+    first_rate=st.sampled_from([0.0, 0.5]) | st.floats(0.01, 3.0),
+    pieces=_pieces,
+    picks=st.lists(st.one_of(st.floats(-3.0, 12.0), st.integers(-1, 5), st.just(math.inf)),
+                   min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_curve_methods_match_the_array_formulas(start, first_rate, pieces, picks):
+    bounds, rates = [start], [first_rate]
+    for width, rate in pieces:
+        bounds.append(bounds[-1] + width)
+        rates.append(rate)
+    bounds, rates = tuple(bounds), tuple(rates)
+    s, ref = SurvivalCurve(bounds, rates), _NumpyCurve(bounds, rates)
+    assert s._cumhaz == tuple(ref.cum.tolist())
+    # an integer picks t below the start (-1), on bound x, or past the last bound
+    ts = [x if not isinstance(x, int) else bounds[0] - 1.0 if x < 0 else bounds[x] if x < len(bounds)
+          else bounds[-1] + x for x in picks]
+    for t in ts:
+        assert _same(s.cum_hazard(t), float(ref.cum_hazard(t)))
+        assert _same(s.mass_above(t), ref.mass_above(t))
+        for u in ts + [-math.inf, math.inf]:
+            assert _same(s.interval_mass(t, u), ref.interval_mass(t, u))
+        if t < start:
+            with pytest.raises(CurveDomainError):
+                s.eval(t)
+            continue
+        assert _same(s.eval(t), ref.eval(t))
+        if math.isfinite(t):
+            assert s.conditional_from(t) == SurvivalCurve(*ref.conditional_from(t))
+        if t > start:
+            assert s.hazard_at(t) == ref.hazard_at(t)
+            assert _same(s.log_density(t), ref.log_density(t))
+    inside = np.array([t for t in ts if t >= start])
+    got = s.eval(inside)
+    assert got.shape == inside.shape and got.dtype == float
+    assert all(_same(g, s.eval(t)) for g, t in zip(got.tolist(), inside.tolist()))
+    assert s.eval(inside.reshape(-1, 1)).shape == (len(inside), 1)
+
+
+@given(
+    widths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5),
+    picks=st.lists(st.one_of(st.floats(1e-9, 20.0), st.integers(1, 5), st.just(math.inf)), min_size=1, max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_interval_index_matches_searchsorted(widths, picks):
+    taus = [0.0]
+    for w in widths:
+        taus.append(taus[-1] + w)
+    grid = TimeGrid(tuple(taus))
+    for x in picks:
+        t = taus[min(x, grid.K)] if isinstance(x, int) else x  # an integer picks a visit time
+        want = min(int(np.searchsorted(np.asarray(taus), t, side="left")) - 1, grid.K)
+        got = grid.interval_index(t)
+        assert type(got) is int and got == want

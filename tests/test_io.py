@@ -21,7 +21,7 @@ from snftm.core import (
 )
 from snftm.shift import ShiftParams
 
-from conftest import make_config
+from conftest import make_config, table_law_config
 
 
 def test_cohort_round_trip(tmp_path, rich_config):
@@ -137,6 +137,72 @@ def test_world_config_keys_are_strict(rich_config):
     assert "schema_version" in d and io.dgp_config_from_dict(d).psi0 == rich_config.psi0
     with pytest.raises(CohortFormatError, match=r"unknown world config key\(s\) \['psi'\]"):
         io.dgp_config_from_dict({**d, "psi": [0.0, 0.0, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"psi0": [0.5]}, "field 'psi0' must be a list of 3 finite numbers"),
+        ({"psi0": [float("nan"), 0.0, 0.0]}, "field 'psi0' must be a list of 3 finite numbers"),
+        ({"baseline": {"bounds": [0.0], "rates": [1.0], "bogus": 1}},
+         r"unknown world config 'baseline' key\(s\) \['bogus'\]"),
+        ({"baseline": {"bounds": [0.0]}}, r"'baseline' is missing field\(s\) \['rates'\]"),
+        ({"baseline": {"bounds": "0", "rates": [1.0]}},
+         "'baseline': field 'bounds' must be a list of finite numbers"),
+        ({"taus": [0.0, "1"]}, "field 'taus' must be a list of finite numbers"),
+        ({"covariate_law": [1]}, "unknown CovariateLaw kind None"),
+    ],
+)
+def test_world_config_fields_are_checked(rich_config, change, message):
+    with pytest.raises(CohortFormatError, match=message):
+        io.dgp_config_from_dict({**io.dgp_config_to_dict(rich_config), **change})
+
+
+def test_table_law_keys_are_strict():
+    d = io.dgp_config_to_dict(table_law_config((2, 3)))
+    with pytest.raises(CohortFormatError, match=r"unknown table CovariateLaw key\(s\) \['bogus'\]"):
+        io.dgp_config_from_dict({**d, "covariate_law": {**d["covariate_law"], "bogus": 1}})
+    treatment = {key: v for key, v in d["treatment_law"].items() if key != "levels"}
+    with pytest.raises(CohortFormatError, match=r"table TreatmentLaw is missing field\(s\) \['levels'\]"):
+        io.dgp_config_from_dict({**d, "treatment_law": treatment})
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"f_terms": 5}, "field 'f_terms' must be a list of strings"),
+        ({"f_terms": ["l", 1]}, "field 'f_terms' must be a list of strings"),
+        ({"psi_dim": "x"}, "field 'psi_dim' must be a non-negative integer"),
+        ({"g": {"clip": "ab"}}, "field 'clip' must be a list of 2 finite numbers"),
+        ({"g": {"clip": [0.1]}}, "field 'clip' must be a list of 2 finite numbers"),
+        ({"g": {"log": 1}}, "field 'log' must be true or false"),
+        ({"g": {"powers": 1.5}}, "field 'powers' must be a non-negative integer"),
+        ({"components": [0.5]}, "field 'components' must be a list of non-negative integers"),
+    ],
+)
+def test_treatment_spec_fields_are_typed(spec, message):
+    with pytest.raises(CohortFormatError, match=message):
+        io.treatment_spec_from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ({}, r"mle template is missing field\(s\) \['baseline_bounds'\]"),
+        ({"baseline_bounds": [0.0, "x"]}, "field 'baseline_bounds' must be a list of finite numbers"),
+        ({"baseline_bounds": [0.0], "bins": 1.5}, "field 'bins' must be a list of finite numbers"),
+        ({"baseline_bounds": [0.0], "psi_init": [0.0]}, "field 'psi_init' must be a list of 3 finite numbers"),
+    ],
+)
+def test_mle_template_fields_are_typed(rich_config, template, message):
+    with pytest.raises(CohortFormatError, match=message):
+        io.mle_template_from_dict(template, rich_config.grid)
+
+
+def test_typed_fields_keep_their_defaults():
+    spec = io.treatment_spec_from_dict({"g": {"clip": [0.1, 5.0], "log": True, "powers": 2}, "psi_dim": 2})
+    assert spec == gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.1, 5.0), log=True, powers=2), psi_dim=2)
+    assert io.treatment_spec_from_dict({"g": {"clip": None}}) == gest.TreatmentModelSpec()
 
 
 def test_t_grid_parser():

@@ -1,11 +1,16 @@
+import bisect
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from snftm import dgp, io, oracle
-from snftm.core import GridBoundsError, InstanceTooLargeError, TimeGrid, TreatmentRegime
+from snftm.core import GridBoundsError, InstanceTooLargeError, SurvivalCurve, TimeGrid, TreatmentRegime
 from snftm.shift import ShiftParams
 
 from conftest import make_config, table_law_config
@@ -225,3 +230,60 @@ def test_blip_suite_on_irregular_levels(irregular_world):
     assert len(reports) == 3
     for rep in reports.values():
         assert rep.passed and rep.worst < 1e-12, rep
+
+
+_edges = st.lists(st.floats(0.1, 3.0), min_size=0, max_size=3).map(
+    lambda ws: (0.0,) + tuple(itertools.accumulate(ws)) + (math.inf,)
+)
+_baselines = st.tuples(st.floats(0.0, 0.5), st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.05, 2.0)),
+                                                    min_size=1, max_size=4))
+
+
+def _baseline(drawn, zero_tail=False):
+    start, pieces = drawn
+    bounds, rates = [start], []
+    for width, rate in pieces:
+        rates.append(rate)
+        bounds.append(bounds[-1] + width)
+    return SurvivalCurve(tuple(bounds[:-1]), tuple(rates[:-1]) + ((0.0,) if zero_tail else (rates[-1],)))
+
+
+@given(
+    drawn=_baselines, zero_tail=st.booleans(), edges=_edges, data=st.data(),
+    above=st.floats(-1.0, 8.0) | st.just(-math.inf), upto=st.floats(-1.0, 8.0) | st.just(math.inf),
+)
+@settings(max_examples=300, deadline=None)
+def test_mixture_mass_equals_the_per_bin_interval_masses(drawn, zero_tail, edges, data, above, upto):
+    baseline = _baseline(drawn, zero_tail)
+    n_bins = len(edges) - 1
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(0.01, 1.0),
+                                          min_size=n_bins, max_size=n_bins)))
+    above = data.draw(st.sampled_from([above, *edges[:-1]]))  # also exactly on a bin edge
+    want = sum(
+        w * baseline.interval_mass(max(above, edges[b]), min(upto, edges[b + 1]))
+        for b, w in enumerate(weights)
+        if w > 0.0
+    )
+    got = oracle._mixture_mass(baseline, edges, weights, above, upto)
+    assert got == want and type(got) is type(want)
+
+
+@given(drawn=_baselines, edges=_edges, data=st.data(), x=st.floats(0.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_interval_survival_quantile_inverts_eval(drawn, edges, data, x):
+    baseline = _baseline(drawn)
+    weights = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.05, 1.0),
+                                       min_size=len(edges) - 1, max_size=len(edges) - 1)))
+    assume(any(weights))
+    # the bin lookup of ExactIntervalSurvival.quantile: inner edges at or below x
+    b = bisect.bisect_right(edges, x, 1, len(edges) - 1) - 1
+    assert b == int(np.searchsorted(np.asarray(edges[1:-1]), x, side="right"))
+    t_hi = data.draw(st.just(math.inf) | st.floats(1.0, 6.0))
+    curve = oracle.ExactIntervalSurvival(baseline, edges, weights, 0.0, t_hi, 0.0, 1.0)
+    assume(curve._n(0.0) > 1e-9)
+    floor = curve.eval(t_hi) if math.isfinite(t_hi) else 0.0
+    for u in (1.0, 0.7, 0.3, 0.05):
+        if u <= floor:
+            continue
+        t = curve.quantile(u)
+        assert 0.0 <= t <= t_hi and curve.eval(t) == pytest.approx(u, rel=1e-9, abs=1e-12)
