@@ -12,7 +12,7 @@ each equals the scalar ``shift.walk_up`` on its own row of uniforms.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -28,9 +28,10 @@ from .core import (
     require_visits,
 )
 from .dgp import DgpConfig
+from .gcomp import SampledSurvival
 from .shift import BlipTable, ShiftModel, ShiftParams, default_features, in_chunks, per_distinct, walk_up_array
 
-__all__ = ["FittedWorld", "CfSimResult", "simulate_counterfactual"]
+__all__ = ["FittedWorld", "simulate_counterfactual"]
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,6 @@ class FittedWorld:
         )
 
 
-@dataclass(frozen=True)
-class CfSimResult:
-    """Sampled counterfactual event times with a survivor-curve summary."""
-
-    event_times: np.ndarray = field(repr=False)
-    t_grid: np.ndarray
-    survival: np.ndarray
-    stderr: np.ndarray
-    mean: float
-
-    def to_rows(self):
-        return zip(self.t_grid, self.survival, self.stderr)
-
-
 def _walk(world: FittedWorld, regime: TreatmentRegime, uniforms: np.ndarray):
     """The draws from the rows of ``uniforms`` by one array walk, as cohort
     columns ``(t, n_visits, l, a)``.  Covariate laws are looked up once per
@@ -146,7 +133,7 @@ def simulate_counterfactual(
     n: int,
     seed: int = _rng.DEFAULT_SEED,
     t_grid=None,
-) -> CfSimResult:
+) -> SampledSurvival:
     """``n`` draws of the event time under the regime, survivor fractions
     with binomial standard errors on ``t_grid``, and the sample mean.
 
@@ -159,9 +146,6 @@ def simulate_counterfactual(
     if t_grid is None:
         hi = 1.5 * grid.taus[-1]
         t_grid = np.linspace(hi / 20, hi, 20)
-    t_grid = np.asarray(t_grid, dtype=float)
     uniforms = _rng.stream(seed, "cfsim").random((n, grid.K + 2))
     (times,) = in_chunks(lambda u: _walk(world, regime, u)[:1], uniforms)
-    surv = (times[:, None] > t_grid[None, :]).mean(axis=0)
-    stderr = np.sqrt(surv * (1.0 - surv) / n)
-    return CfSimResult(times, t_grid, surv, stderr, float(times.mean()))
+    return SampledSurvival.of(times, t_grid)

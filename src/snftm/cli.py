@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,8 +35,12 @@ def _log_run(sub: str, args: argparse.Namespace):
 
 
 def _write_json(path, obj):
-    obj = {"schema_version": SCHEMA_VERSION, **obj}
-    io_mod.atomic_write_text(path, json.dumps(obj, indent=2, default=_jsonable) + "\n")
+    """``obj`` with the schema version, written to ``path`` or, without one, printed."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **obj}, indent=2, default=_jsonable)
+    if not path:
+        print(text)
+    else:
+        io_mod.atomic_write_text(path, text + "\n")
 
 
 def _jsonable(v):
@@ -52,8 +57,28 @@ def _write_curve_csv(path, rows, header="t,survival,stderr"):
     io_mod.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_psi(text: str) -> ShiftParams:
-    return ShiftParams(tuple(float(v) for v in text.split(",")))
+def _numbers(text: str, sep: str, ok, what: str) -> tuple[float, ...]:
+    """An argparse type: finite numbers separated by ``sep`` for which ``ok`` holds."""
+    try:
+        values = tuple(map(float, text.split(sep)))
+    except ValueError:
+        values = (math.nan,)
+    if not (all(map(math.isfinite, values)) and ok(values)):
+        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+    return values
+
+
+def _psi_arg(text: str) -> tuple[float, ...]:
+    return _numbers(text, ",", lambda v: len(v) == 3, "3 finite numbers psi1,psi2,psi3")
+
+
+def _box_arg(text: str) -> list[tuple[float, ...]]:
+    ok = lambda v: len(v) == 2 and v[0] < v[1]
+    return [_numbers(part, ":", ok, "lo:hi pairs of finite numbers with lo < hi") for part in text.split(",")]
+
+
+def _pitch_arg(text: str) -> float:
+    return _numbers(text, ",", lambda v: len(v) == 1 and v[0] > 0.0, "a positive finite number")[0]
 
 
 def _cmd_simulate(args) -> int:
@@ -80,8 +105,7 @@ def _cmd_gcomp(args) -> int:
     regime = io_mod.load_regime(args.regime, grid.K + 1)
     t_grid = io_mod.parse_t_grid(args.t_grid)
     if args.mc:
-        res = gcomp_mod.mc_gcomp(laws, regime, t_grid, args.mc, seed=args.seed)
-        rows = zip(res.t_grid, res.survival, res.stderr)
+        rows = gcomp_mod.mc_gcomp(laws, regime, t_grid, args.mc, seed=args.seed).to_rows()
     else:
         rows = ((t, gcomp_mod.s_marginal(laws, regime, float(t)), 0.0) for t in t_grid)
     _write_curve_csv(args.out, rows)
@@ -91,25 +115,18 @@ def _cmd_gcomp(args) -> int:
 def _cmd_gtest(args) -> int:
     cohort, _ = io_mod.read_cohort(args.cohort)
     spec = io_mod.load_treatment_spec(args.spec)
-    psi0 = _parse_psi(args.psi0) if args.psi0 else None
+    psi0 = ShiftParams(args.psi0) if args.psi0 else None
     report = gest_mod.g_test(cohort, spec, psi0)
     payload = {"psi0": list(psi0.psi) if psi0 else None, **report.to_dict()}
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+    _write_json(args.out, payload)
     return 0
 
 
 def _cmd_estimate(args) -> int:
     cohort, _ = io_mod.read_cohort(args.cohort)
     spec = io_mod.load_treatment_spec(args.spec)
-    box = []
-    for part in args.box.split(","):
-        lo, hi = part.split(":")
-        box.append((float(lo), float(hi)))
     est = gest_mod.estimate_psi(
-        cohort, spec, box,
+        cohort, spec, args.box,
         grid_pitch=args.pitch,
         compute_ci=not args.no_ci,
         tol_alpha=args.tol,
@@ -179,10 +196,7 @@ def _cmd_verify(args) -> int:
         "passed": passed,
         "reports": {name: rep.to_dict() for name, rep in sorted(reports.items())},
     }
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+    _write_json(args.out, payload)
     return 0 if passed else 1
 
 
@@ -225,15 +239,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gtest", help="G-null / candidate-parameter test")
     p.add_argument("--cohort", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--psi0", default=None, help="candidate psi1,psi2,psi3 (default: identity)")
+    p.add_argument("--psi0", type=_psi_arg, default=None, help="candidate psi1,psi2,psi3 (default: identity)")
     common(p, out_required=False)
     p.set_defaults(func=_cmd_gtest)
 
     p = sub.add_parser("estimate", help="G-estimation of the shift parameters")
     p.add_argument("--cohort", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--box", required=True, help="lo:hi[,lo:hi...] search box")
-    p.add_argument("--pitch", type=float, default=0.01, help="confidence-grid pitch")
+    p.add_argument("--box", type=_box_arg, required=True, help="lo:hi[,lo:hi...] search box")
+    p.add_argument("--pitch", type=_pitch_arg, default=0.01, help="confidence-grid pitch")
     p.add_argument("--no-ci", action="store_true")
     p.add_argument(
         "--tol", type=float, default=1e-6,

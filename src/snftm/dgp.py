@@ -55,8 +55,8 @@ def _normalized(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.ndim != 1 or len(v) == 0:
         raise CohortFormatError(f"probability vector expected, got shape {v.shape}")
-    if np.any(v < 0.0) or abs(float(v.sum()) - 1.0) > 1e-12:
-        raise CohortFormatError(f"probabilities must be >= 0 and sum to 1: {v}")
+    if not np.all(np.isfinite(v)) or np.any(v < 0.0) or abs(float(v.sum()) - 1.0) > 1e-12:
+        raise CohortFormatError(f"probabilities must be finite, >= 0 and sum to 1: {v}")
     return v
 
 

@@ -32,7 +32,7 @@ __all__ = [
     "s_marginal",
     "estimate_laws",
     "mc_gcomp",
-    "McGcompResult",
+    "SampledSurvival",
 ]
 
 
@@ -151,17 +151,26 @@ def estimate_laws(cohort: Cohort) -> ConditionalLaws:
 
 
 @dataclass(frozen=True)
-class McGcompResult:
-    """Survivor-fraction estimates of a counterfactual curve on a time grid."""
+class SampledSurvival:
+    """Sampled counterfactual event times with their survivor fractions and
+    binomial standard errors on a time grid, and their mean."""
 
+    event_times: np.ndarray = field(repr=False)
     t_grid: np.ndarray
     survival: np.ndarray
     stderr: np.ndarray
-    n_sim: int
-    event_times: np.ndarray = field(repr=False, default=None)
+    mean: float
 
-    def mean_survival_time(self) -> float:
-        return float(np.mean(self.event_times))
+    @classmethod
+    def of(cls, times: np.ndarray, t_grid) -> "SampledSurvival":
+        t_grid = np.asarray(t_grid, dtype=float)
+        surv = (times[:, None] > t_grid[None, :]).mean(axis=0)
+        stderr = np.sqrt(surv * (1.0 - surv) / len(times))
+        return cls(times, t_grid, surv, stderr, float(times.mean()))
+
+    def to_rows(self):
+        """``(t, survival, stderr)`` rows, as the curve CSVs write them."""
+        return zip(self.t_grid, self.survival, self.stderr)
 
 
 def _simulate_path(laws: ConditionalLaws, regime: TreatmentRegime, uniforms) -> float:
@@ -190,7 +199,7 @@ def mc_gcomp(
     t_grid,
     n_sim: int,
     seed: int = _rng.DEFAULT_SEED,
-) -> McGcompResult:
+) -> SampledSurvival:
     """Monte-Carlo evaluation of the counterfactual curve: forward-simulate
     covariates and survival under the regime, report survivor fractions with
     binomial standard errors.
@@ -200,12 +209,9 @@ def mc_gcomp(
     """
     if n_sim < 1:
         raise CohortFormatError(f"need n_sim >= 1, got {n_sim}")
-    t_grid = np.asarray(t_grid, dtype=float)
     width = 2 * laws.grid.K + 3
     uniforms = _rng.stream(seed, "mcgcomp").random((n_sim, width))
     times = np.empty(n_sim)
     for i in range(n_sim):
         times[i] = _simulate_path(laws, regime, uniforms[i])
-    surv = (times[:, None] > t_grid[None, :]).mean(axis=0)
-    stderr = np.sqrt(surv * (1.0 - surv) / n_sim)
-    return McGcompResult(t_grid, surv, stderr, n_sim, times)
+    return SampledSurvival.of(times, t_grid)

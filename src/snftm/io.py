@@ -98,15 +98,20 @@ def write_cohort(path, cohort: Cohort, covariate_levels=None, treatment_levels=N
     return side_path
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_finite(v) -> bool:
+    return type(v) in (int, float) and -math.inf < v < math.inf
+
+
 def _list_field(d: dict, name: str, where, length: int | None = None, ints: bool = False,
                 at_most: bool = False) -> list:
     """Field ``name`` of ``d``: finite numbers or, with ``ints``, non-negative
     integers; with ``length``, exactly (or ``at_most``) that many."""
     raw = d[name]
-    if ints:
-        ok, what = (lambda v: type(v) is int and v >= 0), "non-negative integers"
-    else:
-        ok, what = (lambda v: type(v) in (int, float) and -math.inf < v < math.inf), "finite numbers"
+    ok, what = (_is_count, "non-negative integers") if ints else (_is_finite, "finite numbers")
     size = "" if length is None else f"{'at most ' if at_most else ''}{length} "
     if not isinstance(raw, list) or not all(map(ok, raw)) or (
         length not in (None, len(raw)) and not (at_most and len(raw) < length)
@@ -264,10 +269,19 @@ def _law_from_dict(law_cls, d: dict):
         except TypeError as e:
             raise CohortFormatError(f"bad logistic {law_cls.__name__}: {e}") from None
     if kind == "table":
-        _known_keys(d, ("kind", "levels", "entries"), f"table {law_cls.__name__}", ("levels", "entries"))
-        key = lambda parts: tuple(tuple(p) if isinstance(p, list) else int(p) for p in parts)
-        table = {key(entry[:-1]): np.asarray(entry[-1]) for entry in d["entries"]}
-        return law_cls(tuple(d["levels"]), table)
+        what = f"table {law_cls.__name__}"
+        _known_keys(d, ("kind", "levels", "entries"), what, ("levels", "entries"))
+        if not isinstance(d["entries"], list):
+            raise CohortFormatError(f"{what}: field 'entries' must be a list, got {d['entries']!r}")
+        part = lambda p: _is_count(p) or (isinstance(p, list) and all(map(_is_count, p)))
+        table = {}
+        for i, entry in enumerate(d["entries"]):
+            if not (isinstance(entry, list) and entry and isinstance(entry[-1], list)
+                    and all(map(_is_finite, entry[-1])) and all(map(part, entry[:-1]))):
+                raise CohortFormatError(f"{what}: field 'entries'[{i}] must be [*key, probs] with non-negative integer "
+                                        f"(or integer list) key parts and finite probabilities, got {entry!r}")
+            table[tuple(tuple(p) if isinstance(p, list) else p for p in entry[:-1])] = np.asarray(entry[-1], dtype=float)
+        return law_cls(tuple(_list_field(d, "levels", what, ints=True)), table)
     raise CohortFormatError(f"unknown {law_cls.__name__} kind {kind!r}")
 
 
@@ -288,7 +302,7 @@ def dgp_config_from_dict(d: dict) -> DgpConfig:
             covariate_law=_covariate_law_from_dict(d["covariate_law"]),
             treatment_law=_treatment_law_from_dict(d["treatment_law"]),
             psi0=ShiftParams(tuple(_list_field(d, "psi0", what, 3))),
-            seed=int(d.get("seed", 0)),
+            seed=_field(d, "seed", what, 0, _is_count, "a non-negative integer"),
         )
     except KeyError as e:
         raise CohortFormatError(f"world config is missing field {e}") from None
@@ -392,17 +406,16 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
     g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
     names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
-    count = lambda v: type(v) is int and v >= 0
     return TreatmentModelSpec(
         f_terms=tuple(_field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")),
         g=GFeature(
             clip=None if g.get("clip") is None else tuple(_list_field(g, "clip", where_g, 2)),
             log=_field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false"),
-            powers=_field(g, "powers", where_g, 1, count, "a non-negative integer"),
+            powers=_field(g, "powers", where_g, 1, _is_count, "a non-negative integer"),
             knots=_knots_from_list(g.get("knots") or ()),
         ),
         components=tuple(_list_field(d, "components", what, ints=True)) if "components" in d else (0,),
-        psi_dim=_field(d, "psi_dim", what, 3, count, "a non-negative integer"),
+        psi_dim=_field(d, "psi_dim", what, 3, _is_count, "a non-negative integer"),
     )
 
 

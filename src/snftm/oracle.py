@@ -73,10 +73,15 @@ class _Node:
         return grid.tau(self.k) + (x - grid.tau(self.k) - self.d_prev) / self.scale
 
 
+def _edge_survival(baseline: SurvivalCurve, bin_edges, above: float, upto: float = math.inf) -> list[float]:
+    """Baseline survival at each bin edge clamped into ``[above, upto]``, each read once:
+    ``s[b] - s[b + 1]`` is the mass of bin ``b`` in ``(above, upto]`` (0.0 for a bin outside it)."""
+    return [baseline.mass_above(min(max(e, above), upto)) for e in bin_edges]
+
+
 def _mixture_mass(baseline: SurvivalCurve, bin_edges, weights, above: float, upto: float = math.inf) -> float:
-    """Baseline mass in ``(above, upto]``, prognosis bin ``b`` weighted by ``weights[b]``;
-    each bin edge is clamped into that range and read once (a bin outside it adds 0.0)."""
-    s = [baseline.mass_above(min(max(e, above), upto)) for e in bin_edges]
+    """Baseline mass in ``(above, upto]``, prognosis bin ``b`` weighted by ``weights[b]``."""
+    s = _edge_survival(baseline, bin_edges, above, upto)
     return sum(w * (s[b] - s[b + 1]) for b, w in enumerate(weights) if w > 0.0)
 
 
@@ -145,52 +150,43 @@ class ExactIntervalSurvival:
     offset: float
     slope: float
 
+    def __post_init__(self):
+        x_lo = self.offset + self.slope * self.t_lo
+        object.__setattr__(self, "_x_lo", x_lo)
+        object.__setattr__(self, "_norm", self._n(x_lo))
+
     def _n(self, x: float) -> float:
         return _mixture_mass(self.baseline, self.bin_edges, self.weights, x)
 
     def eval(self, t: float) -> float:
         if not self.t_lo <= t <= self.t_hi:
-            raise CurveDomainError(
-                f"interval survival defined on ({self.t_lo}, {self.t_hi}], got {t}"
-            )
+            raise CurveDomainError(f"interval survival defined on ({self.t_lo}, {self.t_hi}], got {t}")
         if t == self.t_lo:
             return 1.0
-        x0 = self.offset + self.slope * self.t_lo
-        return self._n(self.offset + self.slope * t) / self._n(x0)
+        return self._n(self.offset + self.slope * t) / self._norm
 
     def quantile(self, u: float) -> float:
-        """Exact inverse of :meth:`eval` on the interval."""
+        """Exact inverse of :meth:`eval` on the interval, solved inside the
+        first prognosis bin whose upper end (capped at the interval end) has
+        mass at most ``u`` times the normalizer."""
         if not 0.0 < u <= 1.0:
             raise CurveDomainError(f"quantile level must be in (0, 1], got {u}")
-        x_lo = self.offset + self.slope * self.t_lo
-        x_hi = (
-            math.inf if math.isinf(self.t_hi) else self.offset + self.slope * self.t_hi
-        )
-        target = u * self._n(x_lo)
-        cuts = sorted(
-            {x_lo}
-            | {c for c in self.bin_edges if x_lo < c < x_hi}
-            | {c for c in self.baseline.bounds if x_lo < c < x_hi}
-        ) + [x_hi]
-        for xa, xb in zip(cuts, cuts[1:]):
-            n_b = self._n(xb) if math.isfinite(xb) else 0.0
-            if n_b <= target:
-                b = bisect.bisect_right(self.bin_edges, xa, 1, len(self.bin_edges) - 1) - 1
-                w = self.weights[b]
-                if w <= 0.0:
-                    if self._n(xa) == target:
-                        x = xa
-                    else:
-                        continue
-                else:
-                    # solve w*(S(x) - S(hi_b)) + rest = target inside bin b
-                    s_hi = self.baseline.mass_above(self.bin_edges[b + 1])
-                    rest = n_b - (
-                        w * (self.baseline.mass_above(xb) - s_hi) if math.isfinite(xb) else 0.0
-                    )
-                    level = (target - rest) / w + s_hi
-                    x = self.baseline.quantile(min(level, 1.0))
-                return (x - self.offset) / self.slope
+        x_hi = math.inf if math.isinf(self.t_hi) else self.offset + self.slope * self.t_hi
+        target = u * self._norm
+        edges = self.bin_edges
+        start = bisect.bisect_right(edges, self._x_lo, 1, len(edges) - 1) - 1
+        for b in range(start, len(self.weights)):
+            n_end = self._n(edges[b + 1])
+            if (n_end if edges[b + 1] <= x_hi else self._n(x_hi)) > target:
+                continue
+            w = self.weights[b]
+            if w <= 0.0:
+                x = max(edges[b], self._x_lo)
+            else:
+                # inside bin b the mass above x is w * (S(x) - S(e_{b+1})) + N(e_{b+1})
+                s_end = self.baseline.mass_above(edges[b + 1])
+                x = self.baseline.quantile(min((target - n_end) / w + s_end, 1.0))
+            return (x - self.offset) / self.slope
         raise CurveDomainError(f"no quantile at level {u} on ({self.t_lo}, {self.t_hi}]")
 
 
@@ -236,11 +232,6 @@ class EnumeratedWorld:
     def covariate_levels(self) -> tuple[int, ...]:
         return self.cfg.covariate_law.levels
 
-    def _bin_mass(self, b: int, above: float, upto: float = math.inf) -> float:
-        lo = max(above, self.bin_edges[b])
-        hi = min(upto, self.bin_edges[b + 1])
-        return self.cfg.baseline.interval_mass(lo, hi)
-
     def _alive_mass(self, node: _Node) -> float:
         return _mixture_mass(self.cfg.baseline, self.bin_edges, node.pi, node.u_alive)
 
@@ -248,10 +239,11 @@ class EnumeratedWorld:
         """Unnormalised law of ``L_m`` after ``parent``: entry ``l`` is
         ``P(Lbar_m = parent.lbar + (l,), Abar_{m-1} = parent.abar, T > tau_m)``."""
         vec = np.zeros(self.covariate_levels[m])
+        s = _edge_survival(self.cfg.baseline, self.bin_edges, parent.u_next)
         for b, w in enumerate(parent.pi):
             if w > 0.0:
                 pl = self.cfg.covariate_law.probs(m, b, parent.lbar, parent.abar)
-                vec += w * self._bin_mass(b, parent.u_next) * pl
+                vec += w * (s[b] - s[b + 1]) * pl
         return vec
 
     def history_prob(self, lbar, abar) -> float:
@@ -390,18 +382,14 @@ def verify_gcomputation(world: EnumeratedWorld, regime: TreatmentRegime, t_grid=
     """Identification check: the backward recursion on the exact conditional
     laws must reproduce exact counterfactual survival, marginally and per
     conditioning cell, for an evaluable regime."""
+    name = f"gcomputation[{regime.label or 'regime'}]"
     if not is_evaluable(regime, world):
-        return Report(
-            name=f"gcomputation[{regime.label or 'regime'}]",
-            passed=True,
-            worst=0.0,
-            skipped=(f"regime {regime.label or regime} is not evaluable; theorem does not apply",),
-        )
+        skipped = (f"regime {regime.label or regime} is not evaluable; theorem does not apply",)
+        return Report(name, True, 0.0, skipped=skipped)
     t_grid = world.default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     laws = world.conditional_laws()
     grid = world.grid
     worst, worst_where = 0.0, ""
-    details = []
     for t in t_grid:
         err = abs(s_marginal(laws, regime, float(t)) - world.counterfactual_survival(regime, float(t)))
         if err > worst:
@@ -419,14 +407,8 @@ def verify_gcomputation(world: EnumeratedWorld, regime: TreatmentRegime, t_grid=
                 err = abs(got - want)
                 if err > worst:
                     worst, worst_where = err, f"cell {lbar} t={t:.6g}"
-    if worst > tol:
-        details.append(f"worst deviation {worst:.3e} at {worst_where}")
-    return Report(
-        name=f"gcomputation[{regime.label or 'regime'}]",
-        passed=worst <= tol,
-        worst=worst,
-        details=tuple(details),
-    )
+    details = (f"worst deviation {worst:.3e} at {worst_where}",) if worst > tol else ()
+    return Report(name, worst <= tol, worst, details)
 
 
 def _mass_t0gamma_above(world, model, node, x: float, from_visit: int = 0) -> float:

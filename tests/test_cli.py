@@ -193,6 +193,33 @@ def test_world_config_errors_name_the_field(tmp_path, capsys, command):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_world_config_seed_error_names_the_field(tmp_path, capsys):
+    demo = json.loads((CONFIGS / "demo_dgp.json").read_text())
+    (tmp_path / "w.json").write_text(json.dumps({**demo, "seed": "x"}))
+    assert run_cli("simulate", "--dgp", tmp_path / "w.json", "--n", 10, "--out", tmp_path / "c.csv") == 1
+    _one_error_line(capsys, "'seed'")
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--box", "abc"),
+        ("estimate", "--box", "0.5:-1.5"),
+        ("estimate", "--box=-1.5:0.5", "--pitch", "0"),
+        ("gtest", "--psi0", "x,1"),
+        ("gtest", "--psi0", "0.5,1"),
+        ("gtest", "--psi0", "nan,0,0"),
+    ],
+)
+def test_malformed_numeric_arguments_are_usage_errors(tmp_path, capsys, argv):
+    sub, *rest = argv
+    cohort, spec, out = tmp_path / "c.csv", tmp_path / "s.json", tmp_path / "o.json"
+    assert run_cli(sub, "--cohort", cohort, "--spec", spec, *rest, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and "Traceback" not in err, err
+
+
 @pytest.fixture(scope="module")
 def small_cohort(tmp_path_factory):
     path = tmp_path_factory.mktemp("cohort") / "c.csv"

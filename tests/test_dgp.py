@@ -108,6 +108,9 @@ def test_admissibility_enforced():
 def test_probability_vectors_validated():
     with pytest.raises(CohortFormatError):
         dgp.CovariateLaw((2,), {(0, 0, (), ()): np.array([0.6, 0.6])})
+    for bad in ([0.5, math.nan], [math.nan, math.nan]):  # NaN fails neither the sign nor the sum test
+        with pytest.raises(CohortFormatError, match="must be finite"):
+            dgp.CovariateLaw((2,), {(0, 0, (), ()): np.array(bad)})
 
 
 class TestTrueConditionalLaws:

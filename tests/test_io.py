@@ -135,6 +135,7 @@ def test_regime_fields_are_checked_against_the_visit_count(d, message):
 def test_world_config_keys_are_strict(rich_config):
     d = io.dgp_config_to_dict(rich_config)
     assert "schema_version" in d and io.dgp_config_from_dict(d).psi0 == rich_config.psi0
+    assert io.dgp_config_from_dict({key: v for key, v in d.items() if key != "seed"}).seed == 0
     with pytest.raises(CohortFormatError, match=r"unknown world config key\(s\) \['psi'\]"):
         io.dgp_config_from_dict({**d, "psi": [0.0, 0.0, 0.0]})
 
@@ -151,6 +152,10 @@ def test_world_config_keys_are_strict(rich_config):
          "'baseline': field 'bounds' must be a list of finite numbers"),
         ({"taus": [0.0, "1"]}, "field 'taus' must be a list of finite numbers"),
         ({"covariate_law": [1]}, "unknown CovariateLaw kind None"),
+        ({"seed": "x"}, "field 'seed' must be a non-negative integer"),
+        ({"seed": True}, "field 'seed' must be a non-negative integer"),
+        ({"seed": 1.5}, "field 'seed' must be a non-negative integer"),
+        ({"seed": -1}, "field 'seed' must be a non-negative integer"),
     ],
 )
 def test_world_config_fields_are_checked(rich_config, change, message):
@@ -165,6 +170,26 @@ def test_table_law_keys_are_strict():
     treatment = {key: v for key, v in d["treatment_law"].items() if key != "levels"}
     with pytest.raises(CohortFormatError, match=r"table TreatmentLaw is missing field\(s\) \['levels'\]"):
         io.dgp_config_from_dict({**d, "treatment_law": treatment})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ["x"],
+        [0, 0, [], [], [0.5, float("nan")]],
+        [0, 0, [], [], ["0.5", 0.5]],
+        [0, 0, [], [-1], [0.5, 0.5]],
+        [0, True, [], [], [0.5, 0.5]],
+        [0, 0.0, [], [], [0.5, 0.5]],
+        [],
+        5,
+    ],
+)
+def test_table_law_entries_are_checked(entry):
+    d = io.dgp_config_to_dict(table_law_config((2, 3)))
+    entries = d["covariate_law"]["entries"] + [entry]
+    with pytest.raises(CohortFormatError, match=rf"table CovariateLaw: field 'entries'\[{len(entries) - 1}\]"):
+        io.dgp_config_from_dict({**d, "covariate_law": {**d["covariate_law"], "entries": entries}})
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from snftm import dgp, io, oracle
-from snftm.core import GridBoundsError, InstanceTooLargeError, SurvivalCurve, TimeGrid, TreatmentRegime
+from snftm.core import CurveDomainError, GridBoundsError, InstanceTooLargeError, SurvivalCurve, TimeGrid, TreatmentRegime
 from snftm.shift import ShiftParams
 
 from conftest import make_config, table_law_config
@@ -20,12 +20,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THRESHOLD = TreatmentRegime.threshold(2, level=1)
 
 
+def _atom_mass(world, node, b):
+    """Baseline mass of prognosis bin ``b`` on the death interval of ``node``."""
+    edges = world.bin_edges
+    return world.cfg.baseline.interval_mass(max(node.u_alive, edges[b]), min(node.u_next, edges[b + 1]))
+
+
 def test_death_atoms_partition_unity(rich_world):
     total = 0.0
     for k in range(rich_world.grid.K + 1):
         for node in rich_world.stages[k].values():
             for b, w in enumerate(node.pi):
-                total += w * rich_world._bin_mass(b, node.u_alive, node.u_next)
+                total += w * _atom_mass(rich_world, node, b)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -81,7 +87,7 @@ def test_observed_density_integrates_to_cell_mass(rich_world):
     lbar, abar = (1, 1), (1, 0)
     node = rich_world.stages[1][(lbar, abar)]
     mass = sum(
-        w * rich_world._bin_mass(b, node.u_alive, node.u_next)
+        w * _atom_mass(rich_world, node, b)
         for b, w in enumerate(node.pi)
     )
     # density kinks sit where the blipped time crosses bin edges or hazard bounds
@@ -266,24 +272,68 @@ def test_mixture_mass_equals_the_per_bin_interval_masses(drawn, zero_tail, edges
     )
     got = oracle._mixture_mass(baseline, edges, weights, above, upto)
     assert got == want and type(got) is type(want)
+    s = oracle._edge_survival(baseline, edges, above, upto)
+    for b in range(n_bins):
+        assert s[b] - s[b + 1] == baseline.interval_mass(max(above, edges[b]), min(upto, edges[b + 1])), b
+
+
+def _cut_walk_quantile(curve, u):
+    """The inverse of an exact interval curve by a walk over every bin edge and
+    baseline breakpoint on the interval: the reference for its per-bin solve."""
+    x_lo = curve.offset + curve.slope * curve.t_lo
+    x_hi = math.inf if math.isinf(curve.t_hi) else curve.offset + curve.slope * curve.t_hi
+    target = u * curve._n(x_lo)
+    cuts = sorted(
+        {x_lo}
+        | {c for c in curve.bin_edges if x_lo < c < x_hi}
+        | {c for c in curve.baseline.bounds if x_lo < c < x_hi}
+    ) + [x_hi]
+    for xa, xb in zip(cuts, cuts[1:]):
+        n_b = curve._n(xb) if math.isfinite(xb) else 0.0
+        if n_b <= target:
+            b = bisect.bisect_right(curve.bin_edges, xa, 1, len(curve.bin_edges) - 1) - 1
+            w = curve.weights[b]
+            if w <= 0.0:
+                if curve._n(xa) != target:
+                    continue
+                x = xa
+            else:
+                s_hi = curve.baseline.mass_above(curve.bin_edges[b + 1])
+                rest = n_b - (w * (curve.baseline.mass_above(xb) - s_hi) if math.isfinite(xb) else 0.0)
+                x = curve.baseline.quantile(min((target - rest) / w + s_hi, 1.0))
+            return (x - curve.offset) / curve.slope
+    raise AssertionError(f"no quantile at level {u}")
 
 
 @given(drawn=_baselines, edges=_edges, data=st.data(), x=st.floats(0.0, 10.0))
 @settings(max_examples=200, deadline=None)
 def test_interval_survival_quantile_inverts_eval(drawn, edges, data, x):
     baseline = _baseline(drawn)
-    weights = tuple(data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.05, 1.0),
-                                       min_size=len(edges) - 1, max_size=len(edges) - 1)))
-    assume(any(weights))
+    weights = list(data.draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.05, 1.0),
+                                      min_size=len(edges) - 1, max_size=len(edges) - 1)))
     # the bin lookup of ExactIntervalSurvival.quantile: inner edges at or below x
     b = bisect.bisect_right(edges, x, 1, len(edges) - 1) - 1
     assert b == int(np.searchsorted(np.asarray(edges[1:-1]), x, side="right"))
-    t_hi = data.draw(st.just(math.inf) | st.floats(1.0, 6.0))
-    curve = oracle.ExactIntervalSurvival(baseline, edges, weights, 0.0, t_hi, 0.0, 1.0)
-    assume(curve._n(0.0) > 1e-9)
+    # the curve starts at baseline time x, inside bin b, whose weight may be zero
+    if data.draw(st.booleans()):
+        weights[b] = 0.0
+    weights = tuple(weights)
+    assume(any(weights))
+    t_lo, slope = data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.3, 3.0))
+    offset = x - slope * t_lo
+    t_hi = data.draw(st.just(math.inf) | st.floats(t_lo + 0.5, t_lo + 6.0))
+    curve = oracle.ExactIntervalSurvival(baseline, edges, weights, t_lo, t_hi, offset, slope)
+    assume(curve._norm > 1e-9)
+    for t in (t_lo + 0.01, t_lo + 0.3, t_lo + 0.5):
+        assert curve.eval(t) == curve._n(offset + slope * t) / curve._n(offset + slope * t_lo)
     floor = curve.eval(t_hi) if math.isfinite(t_hi) else 0.0
     for u in (1.0, 0.7, 0.3, 0.05):
         if u <= floor:
+            if u < floor:  # the curve never falls that far on its interval
+                with pytest.raises(CurveDomainError):
+                    curve.quantile(u)
             continue
         t = curve.quantile(u)
-        assert 0.0 <= t <= t_hi and curve.eval(t) == pytest.approx(u, rel=1e-9, abs=1e-12)
+        assert t == pytest.approx(_cut_walk_quantile(curve, u), rel=1e-12)
+        assert t_lo - 1e-12 <= t <= t_hi  # (x - offset) / slope at x = _x_lo may round below t_lo
+        assert curve.eval(max(t, t_lo)) == pytest.approx(u, rel=1e-9, abs=1e-12)
