@@ -4,10 +4,10 @@ Only the treatment mechanism is modeled: a pooled logistic regression of the
 dose indicator on past-history features, augmented with a function of the
 blipped-down event time.  Under the candidate shift parameters being correct,
 the augmented term carries no information, so its coefficient has population
-value zero; tests of that coefficient test the candidate, and the parameter
-estimate is the candidate value at which the fitted coefficient crosses zero.
-No covariate-transition or baseline-survival model is consulted anywhere in
-this module.
+value zero; tests of that coefficient test the candidate.  The estimate is the
+root of the augmentation score at the treatment fit without augmentation, which
+is where the fitted coefficient crosses zero.  No covariate-transition or
+baseline-survival model is consulted anywhere in this module.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ class GFeature:
 
 
 _F_TERMS = ("intercept", "l", "l_prev", "a_prev", "k")
+_N_SCAN = 9  # scan points bracketing the roots of one free component
 
 
 @dataclass(frozen=True)
@@ -392,15 +393,7 @@ def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
         )
     h = _h_matrix(data, spec.embed(active))
     V = h.T @ h / data.n_subjects
-    D = np.empty((d, d))
-    for j in range(d):
-        delta = step * max(1.0, abs(active[j]))
-        up, dn = active.copy(), active.copy()
-        up[j] += delta
-        dn[j] -= delta
-        mean_up = _h_matrix(data, spec.embed(up)).mean(axis=0)
-        mean_dn = _h_matrix(data, spec.embed(dn)).mean(axis=0)
-        D[:, j] = (mean_up - mean_dn) / (2.0 * delta)
+    D = _slope(data, active, step)
     smallest = np.min(np.abs(np.linalg.svd(D, compute_uv=False)))
     if smallest < 1e-10 * max(1.0, float(np.max(np.abs(V)))):
         raise WeakIdentificationError(
@@ -412,9 +405,27 @@ def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
     return var, se
 
 
+def _mean_score(data: _GestData, active) -> np.ndarray:
+    """Mean augmentation score ``G^T (y - p0) / n`` at the null fit.  That fit solves the
+    history-block score equations and the log-likelihood is strictly concave, so the
+    augmented fit's coefficient is zero exactly where this is; one column shares its sign."""
+    G = data.g_columns(data.spec.embed(active))
+    return G.T @ (data.y - data.null_fit.p) / data.n_subjects
+
+
+def _slope(data: _GestData, active, step: float = 1e-4) -> np.ndarray:
+    """Jacobian of ``_mean_score`` in the free components, by central differences."""
+    active = np.asarray(active, dtype=float)
+    steps = np.diag(step * np.maximum(1.0, np.abs(active)))
+    return np.column_stack([
+        (_mean_score(data, active + e) - _mean_score(data, active - e)) / (2.0 * e[j])
+        for j, e in enumerate(steps)
+    ])
+
+
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Root of the augmented-coefficient curve with test-inversion confidence set."""
+    """Root of the augmentation score and fitted coefficient, with test-inversion confidence set."""
 
     psi: np.ndarray
     components: tuple[int, ...]
@@ -436,10 +447,6 @@ class PsiEstimate:
         return (float(acc.min()), float(acc.max())) if len(acc) else (math.nan, math.nan)
 
 
-def _alpha_of(data: _GestData, spec: TreatmentModelSpec, active: np.ndarray) -> np.ndarray:
-    return _fit_augmented(data, spec.embed(active)).alpha
-
-
 def estimate_psi(
     cohort: Cohort,
     spec: TreatmentModelSpec,
@@ -448,17 +455,16 @@ def estimate_psi(
     grid_pitch: float = 0.01,
     tol_alpha: float = 1e-6,
     compute_ci: bool = True,
-    n_scan: int = 9,
 ) -> PsiEstimate:
-    """Estimate the free shift components as the root of the fitted
+    """Estimate the free shift components as the root of the augmentation
+    score at the null treatment fit, which is also the root of the fitted
     augmentation coefficient, with a confidence set by test inversion.
 
-    One free component: bracket scan plus Brent's method.  Several: coarse
-    grid refinement, then a quasi-Newton root search.  All roots found in the
-    box are reported; the one with the smallest residual coefficient is
-    primary.  One data object serves the whole call, so the null treatment
-    fit is made once; every augmented fit starts from it, and the
-    confidence-set trace starts each fit from its grid neighbour.
+    One free component: bracket scan plus Brent's method.  Several: a root
+    search, with the sandwich's finite-difference slope, from the coarse-grid
+    point of smallest score norm.  All roots in the box are reported; the one
+    with the smallest fitted coefficient is primary.  The null treatment fit is
+    made once; the confidence-set trace starts each fit from its grid neighbour.
     """
     data = _GestData(cohort, spec)
     d = len(spec.components)
@@ -471,27 +477,27 @@ def estimate_psi(
     if len(box) != d:
         raise SnftmError(f"search box must have {d} intervals, got {len(box)}")
 
+    alpha_at = lambda active: _fit_augmented(data, spec.embed(active)).alpha
     if d == 1:
         lo, hi = box[0]
-        grid = np.linspace(lo, hi, n_scan)
-        vals = np.array([_alpha_of(data, spec, np.array([x]))[0] for x in grid])
+        score = lambda x: _mean_score(data, [x])[0]
+        grid = np.linspace(lo, hi, _N_SCAN)
+        vals = np.array([score(x) for x in grid])
         roots = []
         for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
             if fa == 0.0:
                 roots.append(a)
                 continue
             if fa * fb < 0.0:
-                roots.append(optimize.brentq(
-                    lambda x: _alpha_of(data, spec, np.array([x]))[0], a, b, xtol=1e-10
-                ))
+                roots.append(optimize.brentq(score, a, b, xtol=1e-10))
         if vals[-1] == 0.0:
             roots.append(grid[-1])
         if not roots:
             raise BracketError(
-                f"augmentation coefficient has no sign change on [{lo}, {hi}]: "
+                f"augmentation score has no sign change on [{lo}, {hi}]: "
                 f"endpoint values {vals[0]:.4g}, {vals[-1]:.4g}"
             )
-        resid = [abs(_alpha_of(data, spec, np.array([r]))[0]) for r in roots]
+        resid = [abs(alpha_at([r])[0]) for r in roots]
         best = int(np.argmin(resid))
         if resid[best] > tol_alpha:
             raise ConvergenceError(
@@ -502,19 +508,13 @@ def estimate_psi(
         all_roots = tuple((float(r),) for r in roots)
     else:
         axes = [np.linspace(lo, hi, 5) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.column_stack([m.ravel() for m in mesh])
-        norms = [
-            float(np.linalg.norm(_alpha_of(data, spec, pt))) for pt in points
-        ]
-        start = points[int(np.argmin(norms))]
-        sol = optimize.minimize(
-            lambda x: float(np.sum(_alpha_of(data, spec, x) ** 2)),
-            start,
-            method="BFGS",
-            options={"gtol": 1e-14, "maxiter": 400},
+        points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+        start = min(points, key=lambda pt: np.linalg.norm(_mean_score(data, pt)))
+        # hybr's own difference step is relative, so it vanishes at a zero start component
+        sol = optimize.root(
+            lambda x: _mean_score(data, x), start, jac=lambda x: _slope(data, x), tol=1e-12
         )
-        resid = float(np.linalg.norm(_alpha_of(data, spec, sol.x)))
+        resid = float(np.linalg.norm(alpha_at(sol.x)))
         if resid > tol_alpha:
             raise ConvergenceError(
                 f"vector root search stalled at residual {resid:.2e} "

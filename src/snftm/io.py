@@ -54,6 +54,8 @@ SCHEMA_VERSION = 1
 
 COHORT_COLUMNS = ("id", "k", "tau_k", "L1", "A", "T_event")
 
+MAX_T_GRID_POINTS = 100_000
+
 
 def atomic_write_text(path, text: str):
     """Write via a temp file in the target directory plus rename."""
@@ -464,12 +466,14 @@ def load_fitted_world(path) -> FittedWorld:
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """``a:b:step`` inclusive grid."""
+    """``a:b:step`` inclusive grid of at most ``MAX_T_GRID_POINTS`` points."""
     try:
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise CohortFormatError(f"t-grid must be a:b:step, got {text!r}") from None
-    if step <= 0 or b < a:
-        raise CohortFormatError(f"bad t-grid {text!r}")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return a + step * np.arange(n)
+    if not all(math.isfinite(v) for v in (a, b, step)) or step <= 0 or b < a:
+        raise CohortFormatError(f"bad t-grid {text!r}: need finite a <= b and step > 0")
+    span = (b - a) / step + 1e-9  # may overflow to inf
+    if not span < MAX_T_GRID_POINTS:
+        raise CohortFormatError(f"t-grid {text!r} has more than {MAX_T_GRID_POINTS} points")
+    return a + step * np.arange(int(math.floor(span)) + 1)

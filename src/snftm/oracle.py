@@ -186,7 +186,7 @@ class ExactIntervalSurvival:
                 # inside bin b the mass above x is w * (S(x) - S(e_{b+1})) + N(e_{b+1})
                 s_end = self.baseline.mass_above(edges[b + 1])
                 x = self.baseline.quantile(min((target - n_end) / w + s_end, 1.0))
-            return (x - self.offset) / self.slope
+            return max((x - self.offset) / self.slope, self.t_lo)
         raise CurveDomainError(f"no quantile at level {u} on ({self.t_lo}, {self.t_hi}]")
 
 

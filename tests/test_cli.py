@@ -183,6 +183,17 @@ def _one_error_line(capsys, field):
     assert len(errors) == 1 and field in errors[0] and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.1", "0:1e300:1e-300"])
+def test_gcomp_bad_t_grid_is_one_error_line(tmp_path, capsys, grid):
+    out = tmp_path / "g.csv"
+    assert run_cli(
+        "gcomp", "--laws", CONFIGS / "demo_dgp.json", "--regime", CONFIGS / "regime_never.json",
+        "--t-grid", grid, "--out", out,
+    ) == 1
+    _one_error_line(capsys, repr(grid))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("simulate", "--n", 10, "--out", "c.csv"), ("verify", "--suite", "blip")])
 def test_world_config_errors_name_the_field(tmp_path, capsys, command):
     demo = json.loads((CONFIGS / "demo_dgp.json").read_text())

@@ -236,6 +236,10 @@ def test_t_grid_parser():
         io.parse_t_grid("1:2")
     with pytest.raises(CohortFormatError):
         io.parse_t_grid("2:1:0.5")
+    for bad in ("nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1e300:1e-300", "0:1:1e-5"):
+        with pytest.raises(CohortFormatError, match=f"'{bad}'"):
+            io.parse_t_grid(bad)
+    assert len(io.parse_t_grid(f"0:{io.MAX_T_GRID_POINTS - 1}:1")) == io.MAX_T_GRID_POINTS
 
 
 def test_atomic_write_replaces_not_partial(tmp_path):
