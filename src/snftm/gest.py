@@ -125,11 +125,69 @@ class _NullFit:
     i_ff: np.ndarray
 
 
+def _unit_scale(X: np.ndarray) -> np.ndarray:
+    """Column standard deviations, with 1 for constant columns."""
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+def _require_full_rank(factor: np.ndarray, n_rows: int) -> None:
+    """``np.linalg.matrix_rank``'s decision on an ``n_rows``-row design, made
+    from ``factor``, a small matrix with the design's singular values: full
+    rank when all ``d`` singular values exceed ``s_max * max(n_rows, d) * eps``."""
+    d = factor.shape[1]
+    s = np.linalg.svd(factor, compute_uv=False)
+    if len(s) < d or np.count_nonzero(s > s.max() * max(n_rows, d) * np.finfo(float).eps) < d:
+        raise NonIdentifiableError(f"design matrix is rank deficient ({d} columns)")
+
+
+@dataclass(frozen=True)
+class _HistoryBlock:
+    """The history design ``F`` standardized once, ``Fs = F / scale``, with a
+    thin QR factor ``Fs = Q R``.  ``R`` carries the singular values of ``Fs``,
+    so ``F``'s rank is checked on a ``d x d`` matrix, and an augmented design's
+    rank on a slightly larger block-triangular one."""
+
+    Fs: np.ndarray
+    scale: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+    @classmethod
+    def of(cls, F: np.ndarray) -> "_HistoryBlock":
+        scale = _unit_scale(F)
+        Fs = F / scale
+        Q, R = np.linalg.qr(Fs)
+        _require_full_rank(R, len(F))
+        return cls(Fs, scale, Q, R)
+
+    def augment(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The standardized design ``[Fs | G / std(G)]`` and its column scales.
+
+        Raises ``NonIdentifiableError`` when the design is rank deficient.  Its
+        rank comes from ``[[R, Q^T Gs], [0, R22]]``, where ``R22`` is the R
+        factor of the part of ``Gs`` orthogonal to ``Q`` (projected out twice,
+        which keeps that part accurate when it is small)."""
+        g_scale = _unit_scale(G)
+        Gs = G / g_scale
+        C = self.Q.T @ Gs
+        Z = Gs - self.Q @ C
+        C2 = self.Q.T @ Z
+        Z -= self.Q @ C2
+        R22 = np.linalg.qr(Z, mode="r")
+        T = np.block([[self.R, C + C2], [np.zeros((len(R22), self.R.shape[1])), R22]])
+        _require_full_rank(T, len(G))
+        return np.column_stack([self.Fs, Gs]), np.concatenate([self.scale, g_scale])
+
+
 class _GestData:
     """Person-interval records: one row per (subject, visit) with the visit's
     dose as response.  Built once per cohort; the augmentation column is the
-    only part that changes with the candidate shift parameters, so the null
-    treatment fit is made once, on first use, and shared by every candidate."""
+    only part that changes with the candidate shift parameters.  So, once per
+    cohort and on first use, the history block is standardized, rank-checked
+    and factored (``history``) and the null treatment fit is made
+    (``null_fit``); every candidate shares both."""
 
     def __init__(self, cohort: Cohort, spec: TreatmentModelSpec):
         self.spec = spec
@@ -163,16 +221,30 @@ class _GestData:
         return self.spec.g.design(self.blipped_times(psi))[self.row_subject]
 
     @cached_property
+    def history(self) -> _HistoryBlock:
+        return _HistoryBlock.of(self.F)
+
+    @cached_property
     def null_fit(self) -> _NullFit:
-        theta0, _, _, _ = _logistic_newton(self.F, self.y)
+        theta0, _, _, _ = _logistic_newton(self.history.Fs, self.history.scale, self.y)
         p0 = special.expit(self.F @ theta0)
         w0 = p0 * (1.0 - p0)
         Fw = self.F * w0[:, None]
         return _NullFit(theta0, p0, w0, Fw, Fw.T @ self.F)
 
 
+def _log1pexp(x: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(x))``, as ``np.logaddexp(0, x)`` but in vectorized ufuncs."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _loglik(y: np.ndarray, eta: np.ndarray) -> float:
+    return float(np.sum(y * eta - _log1pexp(eta)))
+
+
 def _logistic_newton(
-    X: np.ndarray,
+    Xs: np.ndarray,
+    scale: np.ndarray,
     y: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 120,
@@ -180,20 +252,18 @@ def _logistic_newton(
 ):
     """Newton-Raphson logistic MLE; returns (beta, covariance, score_norm, loglik).
 
-    Columns are standardized internally so the score-norm stopping rule and
-    the Newton steps are scale-free; coefficients and covariance are mapped
-    back exactly.  ``start`` (on the scale of ``X``) replaces the zero
+    ``Xs`` is the design already standardized, ``X / scale``, and already
+    checked to have full column rank: ``_HistoryBlock`` does both once per
+    cohort for the history block and, per candidate, only for the
+    augmentation columns.  The score-norm stopping rule and the Newton steps
+    are scale-free; coefficients and covariance are mapped back to the scale
+    of ``X`` exactly.  ``start`` (on the scale of ``X``) replaces the zero
     starting point; the stopping rule is the same either way.
     """
-    d = X.shape[1]
-    col_scale = X.std(axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    Xs = X / col_scale
-    if np.linalg.matrix_rank(Xs) < d:
-        raise NonIdentifiableError(f"design matrix is rank deficient ({d} columns)")
-    beta = np.zeros(d) if start is None else np.asarray(start, dtype=float) * col_scale
+    d = Xs.shape[1]
+    beta = np.zeros(d) if start is None else np.asarray(start, dtype=float) * scale
     eta = Xs @ beta
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    ll = _loglik(y, eta)
     for _ in range(max_iter):
         p = special.expit(eta)
         score = Xs.T @ (y - p)
@@ -202,12 +272,12 @@ def _logistic_newton(
                 raise SeparationError(
                     f"logistic likelihood diverges (max |standardized coef| "
                     f"{np.max(np.abs(beta)):.1f}): data are separated on some feature",
-                    best=beta / col_scale,
+                    best=beta / scale,
                 )
             w = p * (1.0 - p)
             H = (Xs * w[:, None]).T @ Xs
-            cov = np.linalg.inv(H) / np.outer(col_scale, col_scale)
-            return beta / col_scale, cov, float(np.max(np.abs(score))), ll
+            cov = np.linalg.inv(H) / np.outer(scale, scale)
+            return beta / scale, cov, float(np.max(np.abs(score))), ll
         w = np.clip(p * (1.0 - p), 1e-12, None)
         H = (Xs * w[:, None]).T @ Xs
         try:
@@ -219,7 +289,7 @@ def _logistic_newton(
         for _ in range(30):
             cand = beta + damp * step
             eta_c = Xs @ cand
-            ll_c = float(np.sum(y * eta_c - np.logaddexp(0.0, eta_c)))
+            ll_c = _loglik(y, eta_c)
             if ll_c >= ll - 1e-9:
                 break
             damp *= 0.5
@@ -228,11 +298,11 @@ def _logistic_newton(
         raise SeparationError(
             f"logistic likelihood diverges (max |scaled coef| {np.max(np.abs(beta)):.1f}): "
             "data are separated on some feature",
-            best=beta / col_scale,
+            best=beta / scale,
         )
     raise ConvergenceError(
         f"logistic fit did not reach score norm {tol:g} in {max_iter} iterations",
-        best=beta / col_scale,
+        best=beta / scale,
     )
 
 
@@ -272,17 +342,20 @@ def _as_vector(psi) -> np.ndarray | None:
 
 
 def _fit_augmented(
-    data: _GestData, psi: np.ndarray | None, start: np.ndarray | None = None, G: np.ndarray | None = None
+    data: _GestData,
+    psi: np.ndarray | None,
+    start: np.ndarray | None = None,
+    design: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TreatmentFit:
     """Augmented fit at ``psi``, started from ``start`` (the full coefficient
     vector) or else from the null fit with the augmentation coefficient at 0;
-    ``G`` passes in ``data.g_columns(psi)`` when the caller already has it."""
-    G = data.g_columns(psi) if G is None else G
-    X = np.column_stack([data.F, G])
-    if start is None:
-        start = np.concatenate([data.null_fit.theta, np.zeros(G.shape[1])])
-    beta, cov, norm, ll = _logistic_newton(X, data.y, start=start)
+    ``design`` passes in ``data.history.augment(data.g_columns(psi))`` when the
+    caller already has it."""
+    Xs, scale = data.history.augment(data.g_columns(psi)) if design is None else design
     d_f = data.F.shape[1]
+    if start is None:
+        start = np.concatenate([data.null_fit.theta, np.zeros(Xs.shape[1] - d_f)])
+    beta, cov, norm, ll = _logistic_newton(Xs, scale, data.y, start=start)
     return TreatmentFit(beta[:d_f], beta[d_f:], cov, norm, ll, len(data.y))
 
 
@@ -329,8 +402,9 @@ def g_test(cohort: Cohort, spec: TreatmentModelSpec, psi0=None) -> GTestReport:
     data = _GestData(cohort, spec)
     psi_vec = _as_vector(psi0)
     G = data.g_columns(psi_vec)
+    design = data.history.augment(G)  # a collinear G fails here, not in the score test's solve
     stat, df = _score_test(data, psi_vec, G)
-    fit = _fit_augmented(data, psi_vec, G=G)
+    fit = _fit_augmented(data, psi_vec, design=design)
     d = len(fit.alpha)
     wald = float(
         fit.alpha @ np.linalg.solve(fit.cov[-d:, -d:], fit.alpha)
@@ -464,7 +538,8 @@ def estimate_psi(
     search, with the sandwich's finite-difference slope, from the coarse-grid
     point of smallest score norm.  All roots in the box are reported; the one
     with the smallest fitted coefficient is primary.  The null treatment fit is
-    made once; the confidence-set trace starts each fit from its grid neighbour.
+    made once; the confidence-set trace starts each fit on the line through
+    the fits at the two previous grid points.
     """
     data = _GestData(cohort, spec)
     d = len(spec.components)
@@ -531,16 +606,17 @@ def estimate_psi(
         ci_grid = np.arange(lo, hi + 0.5 * grid_pitch, grid_pitch)
         trace = np.empty(len(ci_grid))
         mask = np.zeros(len(ci_grid), dtype=bool)
-        start = None
+        prev = last = None  # coefficients at the two previous grid points
         for idx, x in enumerate(ci_grid):
             vec = spec.embed(np.array([x]))
             G = data.g_columns(vec)
+            design = data.history.augment(G)
             stat, df = _score_test(data, vec, G)
             mask[idx] = special.chdtrc(df, stat) >= level
-            fit = _fit_augmented(data, vec, start, G)
+            start = last if prev is None else 2.0 * last - prev
+            fit = _fit_augmented(data, vec, start, design)
             trace[idx] = fit.alpha[0]
-            # the next grid point's fit starts from this one's coefficients
-            start = np.concatenate([fit.theta, fit.alpha])
+            prev, last = last, np.concatenate([fit.theta, fit.alpha])
     else:
         ci_grid = np.zeros((0,))
         mask = np.zeros((0,), dtype=bool)

@@ -260,3 +260,14 @@ def test_spec_and_template_errors_name_the_field(tmp_path, capsys, small_cohort,
     assert run_cli(command, "--cohort", small_cohort, *extra, "--out", out) == 1
     _one_error_line(capsys, field)
     assert not out.exists()
+
+
+def test_collinear_augmentation_is_one_error_line(tmp_path, capsys, small_cohort):
+    # a clip to [0, 1e-300] makes the augmentation column collinear with the intercept
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"g": {"clip": [0.0, 1e-300]}}))
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert run_cli("gtest", "--cohort", small_cohort, "--spec", spec, "--psi0=0.3,0,0", "--out", out) == 1
+    _one_error_line(capsys, "rank deficient")
+    assert not out.exists()

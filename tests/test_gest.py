@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from snftm import dgp, gest
@@ -92,6 +95,92 @@ def test_rank_deficiency_detected():
         gest.fit_treatment_model(cohort, dup, None)
 
 
+def test_collinear_augmentation_is_non_identifiable():
+    # a clip to [0, 1e-300] makes the augmentation column a constant, collinear
+    # with the intercept; the score test's solve must not be reached
+    cohort = dgp.sample_cohort(make_config(), 2000, seed=5)
+    spec = gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.0, 1e-300)))
+    with pytest.raises(NonIdentifiableError, match="rank deficient"):
+        gest.g_test(cohort, spec, (0.3, 0.0, 0.0))
+
+
+_EXTREMES = [0.0, 1e-300, -1e-300, 20.0, -20.0, 36.7, -36.7, 709.0, -709.0, 800.0, -800.0]
+
+
+def test_log1pexp_matches_logaddexp():
+    x = np.array(_EXTREMES + [math.inf, -math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = gest._log1pexp(x)
+    want = np.logaddexp(0.0, x)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 2.0 * np.spacing(np.abs(want[finite])))
+
+
+def _reference_rank_margin(F, G):
+    """The smallest singular value of the standardized ``[F | G]`` over
+    ``np.linalg.matrix_rank``'s threshold, from the full n-row SVD."""
+    X = np.column_stack([F, G])
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    s = np.linalg.svd(X / scale, compute_uv=False)
+    return s.min() / (s.max() * max(X.shape) * np.finfo(float).eps)
+
+
+def _random_history(rng, n, d_f):
+    """Full-rank history block: an intercept and normal columns on scales 1e-3 .. 1e3."""
+    cols = rng.normal(size=(n, d_f - 1)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d_f - 1)
+    return np.column_stack([np.ones(n), cols])
+
+
+@given(
+    n=st.integers(50, 400),
+    d_f=st.integers(2, 4),
+    case=st.sampled_from(["random", "combination", "constant", "perturbed"]),
+    perturbation=st.sampled_from([1e-3, 1e-6, 1e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_cheap_rank_check_matches_matrix_rank(n, d_f, case, perturbation, seed):
+    rng = np.random.default_rng(seed)
+    F = _random_history(rng, n, d_f)
+    coef = rng.normal(size=d_f)
+    G = {
+        "random": lambda: rng.normal(size=n),
+        "combination": lambda: F @ coef,
+        "constant": lambda: np.full(n, rng.normal()),
+        "perturbed": lambda: (F @ coef) * (1.0 + perturbation * rng.normal(size=n)),
+    }[case]()[:, None]
+    margin = _reference_rank_margin(F, G)
+    # Within a factor of 1e3 of the threshold the two decisions may differ by
+    # rounding alone, so those cases are excluded.  Exact combinations mostly
+    # land there (the SVD's own rounding puts them at 1e-3..1e-2 of the
+    # threshold); test_cheap_rank_check_rejects_exact_combinations covers them.
+    assume(not 1e-3 < margin < 1e3)
+    history = gest._HistoryBlock.of(F)
+    if margin > 1.0:
+        Xs, scale = history.augment(G)
+        X = np.column_stack([F, G])
+        assert np.array_equal(Xs, X / scale)
+    else:
+        with pytest.raises(NonIdentifiableError):
+            history.augment(G)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cheap_rank_check_rejects_exact_combinations(seed):
+    rng = np.random.default_rng(seed)
+    n, d_f = 50 + 70 * seed, 2 + seed % 3
+    F = _random_history(rng, n, d_f)
+    history = gest._HistoryBlock.of(F)
+    for G in (F @ rng.normal(size=d_f), F[:, -1].copy(), 3.0 * F[:, 1], np.full(n, 2.5)):
+        G = G[:, None]
+        assert _reference_rank_margin(F, G) < 1.0
+        with pytest.raises(NonIdentifiableError):
+            history.augment(G)
+
+
 class TestEstimate:
     def test_root_recovers_truth(self):
         cfg = make_config(psi0=(0.7, 0.0, 0.0))
@@ -165,10 +254,21 @@ class TestSandwich:
             gest.sandwich_variance(cohort, spec, (0.0, 0.0, 0.0))
 
 
+def _newton_from_scratch(X, y):
+    """A logistic fit that standardizes the raw design itself and checks its
+    rank with the full ``np.linalg.matrix_rank``, sharing nothing with
+    ``_GestData``'s once-per-cohort standardization and factor."""
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    Xs = X / scale
+    assert np.linalg.matrix_rank(Xs) == X.shape[1]
+    return gest._logistic_newton(Xs, scale, y)
+
+
 def _score_test_refit(data, psi):
     """The score statistic with the null treatment model refit from scratch,
     independent of the cached null fit."""
-    theta0, _, _, _ = gest._logistic_newton(data.F, data.y)
+    theta0, _, _, _ = _newton_from_scratch(data.F, data.y)
     p0 = special.expit(data.F @ theta0)
     w0 = p0 * (1.0 - p0)
     G = data.g_columns(psi)
@@ -183,7 +283,7 @@ def _score_test_refit(data, psi):
 def _cold_alpha(data, psi):
     """Augmentation coefficient from a fit started at zero."""
     X = np.column_stack([data.F, data.g_columns(psi)])
-    beta, _, _, _ = gest._logistic_newton(X, data.y)
+    beta, _, _, _ = _newton_from_scratch(X, data.y)
     return beta[data.F.shape[1]:]
 
 
@@ -232,14 +332,14 @@ class TestSharedNullFit:
 
     @staticmethod
     def _count_fits(cohort, monkeypatch):
-        """Record each logistic fit as null (design ``F``) or augmented."""
-        F = gest._GestData(cohort, SPEC).F
+        """Record each logistic fit as null (the columns of ``F`` only) or augmented."""
+        d_f = len(SPEC.f_terms)
         newton = gest._logistic_newton
         fits = {"null": 0, "augmented": 0}
 
-        def counting(X, y, *args, **kwargs):
-            fits["null" if X.shape == F.shape and np.array_equal(X, F) else "augmented"] += 1
-            return newton(X, y, *args, **kwargs)
+        def counting(Xs, *args, **kwargs):
+            fits["null" if Xs.shape[1] == d_f else "augmented"] += 1
+            return newton(Xs, *args, **kwargs)
 
         monkeypatch.setattr(gest, "_logistic_newton", counting)
         return fits
@@ -264,6 +364,24 @@ class TestSharedNullFit:
             assert np.sign(score) == np.sign(alpha) != 0.0
             signs.add(np.sign(score))
         assert signs == {-1.0, 1.0}
+
+    def test_ci_checks_rank_on_small_factors(self, cohort, monkeypatch):
+        """An estimate with CI standardizes and factors the history block once;
+        no grid point makes a rank check or SVD of an n-row matrix."""
+        n_rows = len(gest._GestData(cohort, SPEC).y)
+        big = []
+        for name in ("matrix_rank", "svd"):
+            original = getattr(gest.np.linalg, name)
+
+            def counting(A, *args, _original=original, _name=name, **kwargs):
+                if np.shape(A)[0] >= n_rows:
+                    big.append(_name)
+                return _original(A, *args, **kwargs)
+
+            monkeypatch.setattr(gest.np.linalg, name, counting)
+        est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
+        assert len(est.ci_grid) >= 19
+        assert len(big) <= 1, big
 
     def test_one_g_columns_build_per_ci_point(self, cohort, monkeypatch):
         builds = []
