@@ -14,12 +14,11 @@ import sys
 
 import numpy as np
 
+# gest and mle load scipy: the commands that run them import them
 from . import cfsim as cfsim_mod
 from . import dgp as dgp_mod
 from . import gcomp as gcomp_mod
-from . import gest as gest_mod
 from . import io as io_mod
-from . import mle as mle_mod
 from . import oracle as oracle_mod
 from . import rng as rng_mod
 from .core import SnftmError
@@ -57,13 +56,14 @@ def _write_curve_csv(path, rows, header="t,survival,stderr"):
     io_mod.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _numbers(text: str, sep: str, ok, what: str) -> tuple[float, ...]:
-    """An argparse type: finite numbers separated by ``sep`` for which ``ok`` holds."""
+def _numbers(text: str, sep: str, ok, what: str, convert=float) -> tuple[float, ...]:
+    """An argparse type: finite numbers, each read by ``convert``, separated
+    by ``sep``, for which ``ok`` holds."""
     try:
-        values = tuple(map(float, text.split(sep)))
+        values = tuple(map(convert, text.split(sep)))
     except ValueError:
         values = (math.nan,)
-    if not (all(map(math.isfinite, values)) and ok(values)):
+    if not (all(-math.inf < v < math.inf for v in values) and ok(values)):
         raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
     return values
 
@@ -79,6 +79,14 @@ def _box_arg(text: str) -> list[tuple[float, ...]]:
 
 def _pitch_arg(text: str) -> float:
     return _numbers(text, ",", lambda v: len(v) == 1 and v[0] > 0.0, "a positive finite number")[0]
+
+
+def _tol_arg(text: str) -> float:
+    return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 0.0, "a non-negative finite number")[0]
+
+
+def _seed_arg(text: str) -> int:
+    return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 0, "a non-negative integer", int)[0]
 
 
 def _cmd_simulate(args) -> int:
@@ -113,6 +121,8 @@ def _cmd_gcomp(args) -> int:
 
 
 def _cmd_gtest(args) -> int:
+    from . import gest as gest_mod
+
     cohort, _ = io_mod.read_cohort(args.cohort)
     spec = io_mod.load_treatment_spec(args.spec)
     psi0 = ShiftParams(args.psi0) if args.psi0 else None
@@ -123,6 +133,8 @@ def _cmd_gtest(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from . import gest as gest_mod
+
     cohort, _ = io_mod.read_cohort(args.cohort)
     spec = io_mod.load_treatment_spec(args.spec)
     est = gest_mod.estimate_psi(
@@ -148,6 +160,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mle(args) -> int:
+    from . import mle as mle_mod
+
     cohort, _ = io_mod.read_cohort(args.cohort)
     template = io_mod.load_mle_template(args.model, cohort.grid)
     fit = mle_mod.fit(cohort, template)
@@ -210,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_required=True):
         p.add_argument(
-            "--seed", type=int, default=rng_mod.DEFAULT_SEED,
+            "--seed", type=_seed_arg, default=rng_mod.DEFAULT_SEED,
             help="master seed (fixed constant by default: runs are reproducible)",
         )
         p.add_argument(
@@ -250,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitch", type=_pitch_arg, default=0.01, help="confidence-grid pitch")
     p.add_argument("--no-ci", action="store_true")
     p.add_argument(
-        "--tol", type=float, default=1e-6,
+        "--tol", type=_tol_arg, default=1e-6,
         help="largest accepted |augmentation coefficient| at the reported root",
     )
     common(p)

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import (
     BracketError,
@@ -541,6 +541,8 @@ def estimate_psi(
     made once; the confidence-set trace starts each fit on the line through
     the fits at the two previous grid points.
     """
+    from scipy import optimize  # deferred: g_test needs only scipy.special
+
     data = _GestData(cohort, spec)
     d = len(spec.components)
     if spec.g.dim != d:

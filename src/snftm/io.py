@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +31,11 @@ from .core import (
 )
 from .cfsim import FittedWorld
 from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
-from .gest import GFeature, TreatmentModelSpec
-from .mle import ParametricModel
 from .shift import ShiftParams
+
+if TYPE_CHECKING:  # gest and mle load scipy; their codecs import them when called
+    from .gest import TreatmentModelSpec
+    from .mle import ParametricModel
 
 __all__ = [
     "write_cohort",
@@ -43,6 +46,7 @@ __all__ = [
     "regime_from_dict",
     "load_regime",
     "treatment_spec_from_dict",
+    "treatment_spec_to_dict",
     "load_treatment_spec",
     "mle_template_from_dict",
     "load_mle_template",
@@ -404,6 +408,8 @@ def _field(d: dict, name: str, where, default, ok, what: str):
 
 
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
+    from .gest import GFeature, TreatmentModelSpec
+
     what, where_g = "treatment spec", "treatment spec 'g'"
     _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
     g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
@@ -421,11 +427,29 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     )
 
 
+def treatment_spec_to_dict(spec: TreatmentModelSpec) -> dict:
+    """The JSON form of ``spec`` that ``treatment_spec_from_dict`` reads back."""
+    g = spec.g
+    return {
+        "f_terms": list(spec.f_terms),
+        "g": {
+            "clip": None if g.clip is None else [float(c) for c in g.clip],
+            "log": g.log,
+            "powers": g.powers,
+            "knots": [float(k) for k in g.knots],
+        },
+        "components": list(spec.components),
+        "psi_dim": spec.psi_dim,
+    }
+
+
 def load_treatment_spec(path) -> TreatmentModelSpec:
     return treatment_spec_from_dict(_load_json(path))
 
 
 def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
+    from .mle import ParametricModel
+
     what = "mle template"
     _known_keys(d, ("baseline_bounds", "bins", "psi_init"), what, ("baseline_bounds",))
     return ParametricModel.template(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import (
     Cohort,
@@ -215,6 +215,8 @@ def _simplex(x0, edge):
 
 
 def _staged_nelder_mead(neg, start, max_evals):
+    from scipy import optimize  # deferred: the model types need only scipy.special
+
     coarse = optimize.minimize(
         neg, start, method="Nelder-Mead",
         options={"initial_simplex": _simplex(start, 0.35), "xatol": 1e-7,

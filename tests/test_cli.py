@@ -118,15 +118,49 @@ def test_tol_only_on_estimate(tmp_path):
     assert run_cli(*common, "--tol", "0", "--out", tmp_path / "z.json") == 1
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _loaded_under(package, code, cwd=None) -> list[str]:
+    """The modules of ``package`` loaded after ``code`` runs in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, snftm.cli; sys.exit('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.splitlines()[-1].split()
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    for module in ("snftm.cli", "snftm.io"):
+        assert _loaded_under("scipy", f"import {module}") == [], module
+
+
+COHORT = "<cohort>"
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("simulate", "--dgp", CONFIGS / "demo_dgp.json", "--n", 200, "--out", "c.csv"), "scipy"),
+        (("gcomp", "--laws", CONFIGS / "demo_dgp.json", "--regime", CONFIGS / "regime_never.json",
+          "--t-grid", "0.5:2.5:0.5", "--out", "g.csv"), "scipy"),
+        (("gcomp", "--laws", CONFIGS / "demo_dgp.json", "--regime", CONFIGS / "regime_never.json",
+          "--t-grid", "0.5:2.5:0.5", "--mc", 100, "--out", "g.csv"), "scipy"),
+        (("gcomp", "--laws", COHORT, "--regime", CONFIGS / "regime_never.json",
+          "--t-grid", "0.5:2.5:0.5", "--out", "g.csv"), "scipy"),
+        (("cfsim", "--world", CONFIGS / "world_exact.json", "--regime", CONFIGS / "regime_never.json",
+          "--n", 200, "--out", "cf.csv"), "scipy"),
+        (("verify", "--dgp", CONFIGS / "demo_dgp_null.json", "--suite", "null", "--out", "v.json"), "scipy"),
+        (("gtest", "--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json", "--out", "t.json"),
+         "scipy.optimize"),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, small_cohort, argv, unloaded):
+    argv = [str(small_cohort if a == COHORT else a) for a in argv]
+    code = f"from snftm.cli import main; assert main({argv!r}) == 0"
+    assert _loaded_under(unloaded, code, cwd=tmp_path) == []
 
 
 def test_domain_error_exit_code(tmp_path):
@@ -221,6 +255,10 @@ def test_world_config_seed_error_names_the_field(tmp_path, capsys):
         ("gtest", "--psi0", "x,1"),
         ("gtest", "--psi0", "0.5,1"),
         ("gtest", "--psi0", "nan,0,0"),
+        ("estimate", "--box=-1.5:0.5", "--tol", "nan"),
+        ("estimate", "--box=-1.5:0.5", "--tol", "inf"),
+        ("estimate", "--box=-1.5:0.5", "--tol", "-1"),
+        ("estimate", "--box=-1.5:0.5", "--tol", "x"),
     ],
 )
 def test_malformed_numeric_arguments_are_usage_errors(tmp_path, capsys, argv):
@@ -229,6 +267,24 @@ def test_malformed_numeric_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert run_cli(sub, "--cohort", cohort, "--spec", spec, *rest, "--out", out) == 2
     err = capsys.readouterr().err
     assert "error: argument" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--dgp", CONFIGS / "demo_dgp.json", "--n", 10),
+        ("gcomp", "--laws", CONFIGS / "demo_dgp.json", "--regime", CONFIGS / "regime_never.json",
+         "--t-grid", "0.5:1.0:0.5", "--mc", 100),
+        ("cfsim", "--world", CONFIGS / "world_exact.json", "--regime", CONFIGS / "regime_never.json",
+         "--n", 10),
+    ],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert run_cli(*argv, "--seed", "-1", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

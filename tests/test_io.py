@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlib import Path
@@ -228,6 +228,31 @@ def test_typed_fields_keep_their_defaults():
     spec = io.treatment_spec_from_dict({"g": {"clip": [0.1, 5.0], "log": True, "powers": 2}, "psi_dim": 2})
     assert spec == gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.1, 5.0), log=True, powers=2), psi_dim=2)
     assert io.treatment_spec_from_dict({"g": {"clip": None}}) == gest.TreatmentModelSpec()
+
+
+@st.composite
+def treatment_specs(draw):
+    psi_dim = draw(st.integers(0, 5))
+    finite = st.floats(-1e6, 1e6)
+    return gest.TreatmentModelSpec(
+        f_terms=tuple(draw(st.lists(st.sampled_from(gest._F_TERMS), max_size=5))),
+        g=gest.GFeature(
+            clip=draw(st.none() | st.tuples(finite, finite).map(sorted).map(tuple)),
+            log=draw(st.booleans()),
+            powers=draw(st.integers(0, 4)),
+            knots=tuple(draw(st.lists(st.floats(1e-3, 1e3), max_size=3, unique=True).map(sorted))),
+        ),
+        components=tuple(draw(st.permutations(range(psi_dim))))[:draw(st.integers(0, psi_dim))],
+        psi_dim=psi_dim,
+    )
+
+
+@given(spec=treatment_specs())
+@example(spec=io.load_treatment_spec(Path(__file__).resolve().parent.parent / "configs" / "treatment_model.json"))
+@example(spec=gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.1, 5.0), knots=(0.5, 1.2)), components=(0, 2)))
+@settings(max_examples=100, deadline=None)
+def test_treatment_spec_dict_round_trip(spec):
+    assert io.treatment_spec_from_dict(json.loads(json.dumps(io.treatment_spec_to_dict(spec)))) == spec
 
 
 def test_t_grid_parser():
