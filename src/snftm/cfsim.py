@@ -11,7 +11,6 @@ each equals the scalar ``shift.walk_up`` on its own row of uniforms.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,7 +28,7 @@ from .core import (
 )
 from .dgp import DgpConfig
 from .gcomp import SampledSurvival
-from .shift import BlipTable, ShiftModel, ShiftParams, default_features, in_chunks, per_distinct, walk_up_array
+from .shift import BlipTable, ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up_array
 
 __all__ = ["FittedWorld", "simulate_counterfactual"]
 
@@ -49,10 +48,6 @@ class FittedWorld:
     thresholds: tuple[float, ...]
     baseline: object
     covariate_laws: Mapping[tuple, np.ndarray]
-    features: object = default_features
-
-    def bin_index(self, t0: float) -> int:
-        return bisect.bisect_left(self.thresholds, t0)
 
     def draw_baseline(self, u):
         """Inverse-distribution draw from the baseline, ``u`` uniform in [0, 1)
@@ -74,16 +69,10 @@ class FittedWorld:
         )
 
     @classmethod
-    def from_cohort(
-        cls,
-        cohort: Cohort,
-        psi: ShiftParams,
-        thresholds: tuple[float, ...],
-        features=default_features,
-    ) -> "FittedWorld":
+    def from_cohort(cls, cohort: Cohort, psi: ShiftParams, thresholds: tuple[float, ...]) -> "FittedWorld":
         """Estimated world: empirical distribution of blipped-down times and
         cell-frequency covariate laws keyed by their bin."""
-        blip = BlipTable.from_cohort(cohort, features)
+        blip = BlipTable.from_cohort(cohort)
         t0s = blip.t0(psi.as_array())
         bins = np.searchsorted(np.asarray(thresholds), t0s, side="left")
         frequencies = cohort.index.cell_frequencies(bins, len(thresholds) + 1)
@@ -94,7 +83,6 @@ class FittedWorld:
             thresholds=tuple(float(c) for c in thresholds),
             baseline=np.sort(t0s),
             covariate_laws=laws,
-            features=features,
         )
 
 
@@ -124,7 +112,7 @@ def _walk(world: FittedWorld, regime: TreatmentRegime, uniforms: np.ndarray):
         a_k = per_distinct(lambda h, l: int(regime.rules[k](prefixes[h][0] + (l,))), hist, l_k)
         return l_k, a_k
 
-    return walk_up_array(ShiftModel(world.psi, world.grid, world.features), t0, draw)
+    return walk_up_array(ShiftModel(world.psi, world.grid), t0, draw)
 
 
 def simulate_counterfactual(

@@ -597,11 +597,12 @@ def is_evaluable(regime: TreatmentRegime, law) -> bool:
     return True
 
 
-def all_regimes(covariate_levels, treatment_levels, cap: int = 10_000, seed: int = 0):
+def all_regimes(covariate_levels, treatment_levels, cap: int = 10_000):
     """Every deterministic regime on the finite instance, as table regimes.
 
-    When the full count exceeds ``cap`` a seeded random subset of ``cap``
-    regimes is returned instead (flagged via the second return value).
+    When the full count exceeds ``cap`` a random subset of ``cap`` regimes,
+    drawn from seed 0, is returned instead (flagged via the second return
+    value).
     """
     n_visits = len(covariate_levels)
     histories = [
@@ -623,7 +624,7 @@ def all_regimes(covariate_levels, treatment_levels, cap: int = 10_000, seed: int
             for i, combo in enumerate(itertools.product(*per_visit))
         ]
         return regimes, False
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
     regimes = []
     for i in range(cap):
         tables = [

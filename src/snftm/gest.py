@@ -29,7 +29,7 @@ from .core import (
     SnftmError,
     WeakIdentificationError,
 )
-from .shift import BlipTable, ShiftParams, default_features
+from .shift import PSI_DIM, BlipTable, ShiftParams
 
 __all__ = [
     "GFeature",
@@ -95,19 +95,18 @@ class TreatmentModelSpec:
     f_terms: tuple[str, ...] = ("intercept", "l", "a_prev")
     g: GFeature = field(default_factory=GFeature)
     components: tuple[int, ...] = (0,)
-    psi_dim: int = 3
 
     def __post_init__(self):
         for term in self.f_terms:
             if term not in _F_TERMS:
                 raise SnftmError(f"unknown history feature {term!r}; pick from {_F_TERMS}")
         if len(set(self.components)) != len(self.components) or any(
-            not 0 <= c < self.psi_dim for c in self.components
+            not 0 <= c < PSI_DIM for c in self.components
         ):
             raise SnftmError(f"invalid free-component list {self.components}")
 
     def embed(self, active: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.psi_dim)
+        psi = np.zeros(PSI_DIM)
         psi[list(self.components)] = np.asarray(active, dtype=float)
         return psi
 
@@ -214,7 +213,7 @@ class _GestData:
         if psi is None:
             return self.event_times
         if self._blip is None:
-            self._blip = BlipTable.from_cohort(self._cohort, default_features)
+            self._blip = BlipTable.from_cohort(self._cohort)
         return self._blip.t0(np.asarray(psi, dtype=float))
 
     def g_columns(self, psi: np.ndarray | None) -> np.ndarray:

@@ -31,7 +31,7 @@ from .core import (
 )
 from .cfsim import FittedWorld
 from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
-from .shift import ShiftParams
+from .shift import PSI_DIM, ShiftParams
 
 if TYPE_CHECKING:  # gest and mle load scipy; their codecs import them when called
     from .gest import TreatmentModelSpec
@@ -126,6 +126,16 @@ def _list_field(d: dict, name: str, where, length: int | None = None, ints: bool
     return raw
 
 
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
+def _require(ok: bool, where, name: str, rule: str, got):
+    """A well-typed field ``name`` whose value breaks ``rule`` is a format error naming it."""
+    if not ok:
+        raise CohortFormatError(f"{where}: field {name!r} must be {rule}, got {got!r}")
+
+
 def _parse(convert, text: str, path, lineno: int, column: str):
     try:
         return convert(text)
@@ -133,8 +143,8 @@ def _parse(convert, text: str, path, lineno: int, column: str):
         raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}") from None
 
 
-def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
-    """Parse the cohort CSV (+ sidecar); returns ``(cohort, sidecar_dict)``.
+def read_cohort(path) -> tuple[Cohort, dict]:
+    """Parse the cohort CSV and its sidecar; returns ``(cohort, sidecar_dict)``.
 
     Rows may come in any order.  Each subject has one terminal row, which
     carries only ``id``, ``k`` and ``T_event``, with ``k`` the visit count
@@ -144,9 +154,9 @@ def read_cohort(path, sidecar=None) -> tuple[Cohort, dict]:
     ``covariate_levels``/``treatment_levels`` (one per visit), each code
     must lie in ``0 .. level - 1``.
     """
-    side_path = Path(sidecar) if sidecar is not None else _sidecar_path(path)
+    side_path = _sidecar_path(path)
     try:
-        meta = json.loads(Path(side_path).read_text(encoding="utf-8"))
+        meta = json.loads(side_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CohortFormatError(f"missing sidecar config {side_path}") from None
     except json.JSONDecodeError as e:
@@ -307,7 +317,7 @@ def dgp_config_from_dict(d: dict) -> DgpConfig:
             thresholds=tuple(_list_field(d, "thresholds", what)),
             covariate_law=_covariate_law_from_dict(d["covariate_law"]),
             treatment_law=_treatment_law_from_dict(d["treatment_law"]),
-            psi0=ShiftParams(tuple(_list_field(d, "psi0", what, 3))),
+            psi0=ShiftParams(tuple(_list_field(d, "psi0", what, PSI_DIM))),
             seed=_field(d, "seed", what, 0, _is_count, "a non-negative integer"),
         )
     except KeyError as e:
@@ -380,9 +390,7 @@ def _knots_from_list(raw) -> tuple[float, ...]:
         knots = tuple(float(v) for v in raw)
     except (TypeError, ValueError):
         raise CohortFormatError(f"g.knots must be a list of numbers, got {raw!r}") from None
-    if any(not (math.isfinite(k) and k > 0.0) for k in knots) or any(
-        b <= a for a, b in zip(knots, knots[1:])
-    ):
+    if any(not (math.isfinite(k) and k > 0.0) for k in knots) or not _increasing(knots):
         raise CohortFormatError(f"g.knots must be positive and strictly increasing, got {list(knots)}")
     return knots
 
@@ -408,22 +416,28 @@ def _field(d: dict, name: str, where, default, ok, what: str):
 
 
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
+    """The treatment spec of ``d``.  ``psi_dim``, which older files carry,
+    is accepted only as the model's ``PSI_DIM``."""
     from .gest import GFeature, TreatmentModelSpec
 
     what, where_g = "treatment spec", "treatment spec 'g'"
     _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
+    _field(d, "psi_dim", what, PSI_DIM, lambda v: type(v) is int and v == PSI_DIM, f"{PSI_DIM}")
     g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
     names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
+    f_terms = _field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")
+    _require(len(f_terms) > 0, what, "f_terms", "a non-empty list", f_terms)
+    log = _field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false")
+    clip = None if g.get("clip") is None else _list_field(g, "clip", where_g, 2)
+    _require(clip is None or clip[0] < clip[1] and (clip[1] > 0.0 or not log), where_g, "clip",
+             "[lo, hi] with lo < hi, and hi > 0 under log", clip)
+    powers = _field(g, "powers", where_g, 1, _is_count, "a non-negative integer")
+    _require(powers >= 1, where_g, "powers", "at least 1", powers)
     return TreatmentModelSpec(
-        f_terms=tuple(_field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")),
-        g=GFeature(
-            clip=None if g.get("clip") is None else tuple(_list_field(g, "clip", where_g, 2)),
-            log=_field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false"),
-            powers=_field(g, "powers", where_g, 1, _is_count, "a non-negative integer"),
-            knots=_knots_from_list(g.get("knots") or ()),
-        ),
+        f_terms=tuple(f_terms),
+        g=GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers,
+                   knots=_knots_from_list(g.get("knots") or ())),
         components=tuple(_list_field(d, "components", what, ints=True)) if "components" in d else (0,),
-        psi_dim=_field(d, "psi_dim", what, 3, _is_count, "a non-negative integer"),
     )
 
 
@@ -439,7 +453,6 @@ def treatment_spec_to_dict(spec: TreatmentModelSpec) -> dict:
             "knots": [float(k) for k in g.knots],
         },
         "components": list(spec.components),
-        "psi_dim": spec.psi_dim,
     }
 
 
@@ -452,11 +465,16 @@ def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
 
     what = "mle template"
     _known_keys(d, ("baseline_bounds", "bins", "psi_init"), what, ("baseline_bounds",))
+    bounds = _list_field(d, "baseline_bounds", what)
+    _require(bounds[:1] == [0.0] and _increasing(bounds), what, "baseline_bounds",
+             "a strictly increasing list that starts at 0.0", bounds)
+    bins = _list_field(d, "bins", what) if "bins" in d else []
+    _require(all(c > 0.0 for c in bins) and _increasing(bins), what, "bins", "positive and strictly increasing", bins)
     return ParametricModel.template(
         grid,
-        tuple(_list_field(d, "baseline_bounds", what)),
-        tuple(_list_field(d, "bins", what)) if "bins" in d else (),
-        psi_init=None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, 3))),
+        tuple(bounds),
+        tuple(bins),
+        psi_init=None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, PSI_DIM))),
     )
 
 
@@ -468,7 +486,8 @@ def load_fitted_world(path) -> FittedWorld:
     """A ``cfsim`` world file: ``{"dgp": file}`` with an optional ``psi``
     (the exact world), or ``{"cohort": file, "psi": [...]}`` with optional
     ``thresholds`` (the estimated world).  Files are relative to ``path``;
-    ``psi`` holds 3 finite numbers, ``thresholds`` positive increasing ones."""
+    ``psi`` holds ``PSI_DIM`` finite numbers, ``thresholds`` positive
+    increasing ones."""
     spec = _load_json(path)
     kind = next((key for key in ("dgp", "cohort") if isinstance(spec, dict) and key in spec), None)
     if kind is None:
@@ -478,13 +497,12 @@ def load_fitted_world(path) -> FittedWorld:
                 () if kind == "dgp" else ("psi",))
     if not isinstance(spec[kind], str):
         raise CohortFormatError(f"{what}: field {kind!r} must be a file name, got {spec[kind]!r}")
-    psi = ShiftParams(tuple(_list_field(spec, "psi", what, 3))) if "psi" in spec else None
+    psi = ShiftParams(tuple(_list_field(spec, "psi", what, PSI_DIM))) if "psi" in spec else None
     if kind == "dgp":
         return FittedWorld.from_dgp_config(load_dgp_config(Path(path).parent / spec["dgp"]), psi)
     thresholds = tuple(_list_field(spec, "thresholds", what)) if "thresholds" in spec else ()
-    if any(c <= 0.0 for c in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise CohortFormatError(f"{what}: field 'thresholds' must be positive and strictly increasing, "
-                                f"got {list(thresholds)}")
+    _require(all(c > 0.0 for c in thresholds) and _increasing(thresholds), what, "thresholds",
+             "positive and strictly increasing", list(thresholds))
     cohort, _ = read_cohort(Path(path).parent / spec["cohort"])
     return FittedWorld.from_cohort(cohort, psi, thresholds)
 

@@ -31,7 +31,7 @@ from .core import (
     TimeGrid,
     Trajectory,
 )
-from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, default_features, gamma_deriv
+from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, gamma_deriv
 
 __all__ = ["ParametricModel", "MleFit", "MleTestReport", "log_density", "fit", "profile_at", "test_null"]
 
@@ -52,7 +52,6 @@ class ParametricModel:
     baseline_rates: tuple[float, ...]
     bins: tuple[float, ...]
     covariate_probs: Mapping[tuple, tuple[float, ...]] = field(default_factory=dict)
-    features: object = default_features
 
     @classmethod
     def template(cls, grid, baseline_bounds, bins, psi_init=None) -> "ParametricModel":
@@ -87,7 +86,7 @@ def log_density(model: ParametricModel, traj: Trajectory) -> float:
         raise StructuralZeroError(
             f"record has {traj.n_visits} visits but the event time implies {p + 1}"
         )
-    shift_model = ShiftModel(model.psi, grid, model.features)
+    shift_model = ShiftModel(model.psi, grid)
     t0 = blip_down(shift_model, traj)
     log_jac = math.log(gamma_deriv(shift_model, p, traj.covariates, traj.treatments, traj.event_time))
     base = model.baseline_curve()
@@ -112,7 +111,7 @@ class _ProfileTables:
     """Cohort pre-aggregation: everything psi-independent, flattened."""
 
     def __init__(self, cohort: Cohort, model: ParametricModel):
-        self.blip = BlipTable.from_cohort(cohort, model.features)
+        self.blip = BlipTable.from_cohort(cohort)
         self.bounds = np.asarray(model.baseline_bounds)
         self.bins = np.asarray(model.bins)
         self.n = len(cohort)
@@ -280,11 +279,10 @@ def _all_identical(cohort: Cohort) -> bool:
     return bool(np.all(t == t[:1]) and np.all(cohort.l == cohort.l[k]) and np.all(cohort.a == cohort.a[k]))
 
 
-def fit(
-    cohort: Cohort,
-    init: ParametricModel,
-    max_evals: int = 4000,
-) -> MleFit:
+MAX_EVALS = 4000  # the profile search's budget of likelihood evaluations
+
+
+def fit(cohort: Cohort, init: ParametricModel) -> MleFit:
     """Maximize the likelihood over shift and nuisance parameters.
 
     Derivative-free simplex search over the shift block (staged: a wide
@@ -310,7 +308,7 @@ def fit(
         starts.append(np.zeros(d))
     best = None
     for start in starts:
-        res = _staged_nelder_mead(neg, start, max_evals // len(starts))
+        res = _staged_nelder_mead(neg, start, MAX_EVALS // len(starts))
         if best is None or res.fun < best.fun:
             best = res
     psi_hat = np.asarray(best.x, dtype=float)
@@ -322,7 +320,7 @@ def fit(
     result = MleFit(fitted, ll, info, psi_cov, grad_norm, bool(best.success), evals)
     if not best.success:
         raise ConvergenceError(
-            f"profile search exhausted its budget of {max_evals} evaluations",
+            f"profile search exhausted its budget of {MAX_EVALS} evaluations",
             best=result,
         )
     return result

@@ -6,10 +6,11 @@ The model maps the interval ``(tau_k, tau_{k+1}]`` onto itself rescaled,
     gamma(t) = tau_k + (min(tau_{k+1}, t) - tau_k) * exp(psi . x)
                + (t - tau_{k+1})_+                                  ,
 
-where ``x = x(k, lbar_k, abar_k)`` is a feature vector, by default
-``(a_k, a_k * a_{k-1}, a_k * l_k)``.  Each map is a continuous strictly
-increasing bijection of ``(tau_k, inf)`` onto itself; ``psi = 0`` (or a
-baseline dose ``a_k = 0``) gives the identity, i.e. no treatment effect.
+where ``x = x(k, lbar_k, abar_k) = (a_k, a_k * a_{k-1}, a_k * l_k)`` is
+the model's one feature vector (:func:`default_features`), so ``psi`` has
+``PSI_DIM = 3`` components.  Each map is a continuous strictly increasing
+bijection of ``(tau_k, inf)`` onto itself; ``psi = 0`` (or a baseline dose
+``a_k = 0``) gives the identity, i.e. no treatment effect.
 
 ``blip_down`` composes the maps innermost-at-death to recover the time a
 subject would have shown with treatment stopped at a given visit;
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .core import (
 )
 
 __all__ = [
+    "PSI_DIM",
     "ShiftParams",
     "ShiftModel",
     "default_features",
@@ -55,6 +56,9 @@ __all__ = [
     "per_distinct",
     "BlipTable",
 ]
+
+
+PSI_DIM = 3  # the length of psi: one parameter per feature of ``default_features``
 
 
 def default_features(k: int, lbar, abar) -> np.ndarray:
@@ -73,12 +77,14 @@ class ShiftParams:
     def __post_init__(self):
         psi = tuple(float(v) for v in self.psi)
         object.__setattr__(self, "psi", psi)
+        if len(psi) != PSI_DIM:
+            raise ValueError(f"shift parameters must be {PSI_DIM} numbers, got {psi}")
         if any(not math.isfinite(v) for v in psi):
             raise ValueError(f"shift parameters must be finite, got {psi}")
 
     @classmethod
-    def zero(cls, dim: int = 3) -> "ShiftParams":
-        return cls((0.0,) * dim)
+    def zero(cls) -> "ShiftParams":
+        return cls((0.0,) * PSI_DIM)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.psi)
@@ -86,20 +92,14 @@ class ShiftParams:
 
 @dataclass(frozen=True)
 class ShiftModel:
-    """The shift-function family over a grid, with a pluggable feature map."""
+    """The shift-function family over a grid."""
 
     params: ShiftParams
     grid: TimeGrid
-    features: Callable[[int, tuple, tuple], np.ndarray] = default_features
 
     def scale(self, k: int, lbar, abar) -> float:
         """The interval time-scale factor ``exp(psi . x)``."""
-        x = self.features(k, lbar, abar)
-        if len(x) != len(self.params.psi):
-            raise ValueError(
-                f"feature map returned {len(x)} features for {len(self.params.psi)} parameters"
-            )
-        return math.exp(float(np.dot(self.params.as_array(), x)))
+        return math.exp(float(np.dot(self.params.as_array(), default_features(k, lbar, abar))))
 
 
 def _check_args(model: ShiftModel, k: int, lbar, abar, t: float):
@@ -272,9 +272,9 @@ class BlipTable:
     """Per-visit feature rows for a cohort, for fast blip-down at many psi.
 
     One row per (subject, visit) pair, ordered by subject: the rows of the
-    cohort's shared :class:`~snftm.core.VisitIndex`.  The feature map is
-    called once per distinct history through a visit and gathered onto the
-    rows.  Because every shift map except the innermost acts past its own
+    cohort's shared :class:`~snftm.core.VisitIndex`.  :func:`default_features`
+    is called once per distinct history through a visit and gathered onto
+    the rows.  Because every shift map except the innermost acts past its own
     breakpoint, the blipped-down time is affine in the per-row scale factors:
 
         t0(psi) = tau_p + (T - tau_p) * s_p + sum_{m<p} delta_m * (s_m - 1).
@@ -290,10 +290,10 @@ class BlipTable:
     event_times: np.ndarray
 
     @classmethod
-    def from_cohort(cls, cohort: Cohort, features=default_features) -> "BlipTable":
+    def from_cohort(cls, cohort: Cohort) -> "BlipTable":
         ix = cohort.index
         # Every prefix but the empty one is the history through some visit.
-        table = np.array([np.asarray(features(m - 1, lb, ab), dtype=float) for m, lb, ab in ix.prefixes[1:]])
+        table = np.array([default_features(m - 1, lb, ab) for m, lb, ab in ix.prefixes[1:]])
         row_features = table[ix.through - 1]
         taus = np.asarray(cohort.grid.taus)
         delta = np.append(np.diff(taus), math.inf)[ix.k]

@@ -304,6 +304,15 @@ def small_cohort(tmp_path_factory):
         ("gtest", {"g": {"clip": "ab"}}, "'clip'"),
         ("gtest", {"components": [0.5]}, "'components'"),
         ("estimate", {"components": [0.5]}, "'components'"),
+        ("mle", {"baseline_bounds": []}, "'baseline_bounds'"),
+        ("mle", {"baseline_bounds": [0.0, 2.0, 1.0]}, "'baseline_bounds'"),
+        ("mle", {"baseline_bounds": [0.5, 1.0, 2.0]}, "'baseline_bounds'"),
+        ("mle", {"baseline_bounds": [0.0, 1.0], "bins": [2.0, 1.0]}, "'bins'"),
+        ("gtest", {"f_terms": []}, "'f_terms'"),
+        ("estimate", {"f_terms": []}, "'f_terms'"),
+        ("estimate", {"psi_dim": 2}, "'psi_dim'"),
+        ("gtest", {"g": {"clip": [0.0, 0.0], "log": True}}, "'clip'"),
+        ("gtest", {"g": {"powers": 0}}, "'powers'"),
     ],
 )
 def test_spec_and_template_errors_name_the_field(tmp_path, capsys, small_cohort, command, content, field):

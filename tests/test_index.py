@@ -23,11 +23,6 @@ from snftm.shift import BlipTable, ShiftParams, default_features
 from conftest import make_smooth_null_config
 
 
-def lagged_features(k, lbar, abar):
-    """A feature map that reads the visit index and the previous covariate."""
-    return np.array([abar[k], k * abar[k], abar[k] * (lbar[k] - (lbar[k - 1] if k else 0))], dtype=float)
-
-
 @st.composite
 def cohorts(draw, binary_treatments=False):
     """Small cohorts on grids of 2-4 visits with multi-level codes; some
@@ -63,7 +58,7 @@ LATE_CELL = Cohort(
 )
 
 
-def _reference_blip_table(cohort, features):
+def _reference_blip_table(cohort):
     grid = cohort.grid
     subj, rows, c1, c0 = [], [], [], []
     base = np.empty(len(cohort))
@@ -74,7 +69,7 @@ def _reference_blip_table(cohort, features):
         times[i] = traj.event_time
         base[i] = grid.tau(p)
         for m in range(p + 1):
-            x = np.asarray(features(m, traj.covariates[: m + 1], traj.treatments[: m + 1]), dtype=float)
+            x = default_features(m, traj.covariates[: m + 1], traj.treatments[: m + 1])
             subj.append(i)
             rows.append(x)
             if m < p:
@@ -167,8 +162,8 @@ def _reference_estimate_laws(cohort):
     return ConditionalLaws(grid, tuple(levels), transitions, curves)
 
 
-def _reference_fitted_laws(cohort, psi, thresholds, features):
-    t0s = _reference_blip_table(cohort, features).t0(psi.as_array())
+def _reference_fitted_laws(cohort, psi, thresholds):
+    t0s = _reference_blip_table(cohort).t0(psi.as_array())
     bins = np.searchsorted(np.asarray(thresholds), t0s, side="left")
     counts: dict = {}
     levels = [0] * (cohort.grid.K + 1)
@@ -199,15 +194,14 @@ def outcome(f, *args):
 
 
 PSI = st.tuples(*(st.floats(-1.5, 1.5) for _ in range(3)))
-FEATURES = st.sampled_from([default_features, lagged_features])
 
 
-@given(cohort=cohorts(), features=FEATURES, psi=PSI)
-@example(cohort=LATE_CELL, features=default_features, psi=(0.3, -0.2, 0.1))
+@given(cohort=cohorts(), psi=PSI)
+@example(cohort=LATE_CELL, psi=(0.3, -0.2, 0.1))
 @settings(max_examples=150, deadline=None)
-def test_blip_table_matches_reference_loop(cohort, features, psi):
-    got = BlipTable.from_cohort(cohort, features)
-    want = _reference_blip_table(cohort, features)
+def test_blip_table_matches_reference_loop(cohort, psi):
+    got = BlipTable.from_cohort(cohort)
+    want = _reference_blip_table(cohort)
     assert got.n_subjects == want.n_subjects
     for name in ("row_subject", "row_features", "row_c1", "row_c0", "base", "terminal_features", "event_times"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -265,13 +259,13 @@ def test_estimate_laws_matches_reference_loop(cohort):
     assert list(got.interval_survival.items()) == list(want.interval_survival.items())
 
 
-@given(cohort=cohorts(), psi=PSI, thresholds=st.sampled_from([(), (0.8,), (0.5, 1.5)]), features=FEATURES)
-@example(cohort=LATE_CELL, psi=(0.3, -0.2, 0.1), thresholds=(0.8,), features=default_features)
+@given(cohort=cohorts(), psi=PSI, thresholds=st.sampled_from([(), (0.8,), (0.5, 1.5)]))
+@example(cohort=LATE_CELL, psi=(0.3, -0.2, 0.1), thresholds=(0.8,))
 @settings(max_examples=150, deadline=None)
-def test_fitted_world_matches_reference_loop(cohort, psi, thresholds, features):
+def test_fitted_world_matches_reference_loop(cohort, psi, thresholds):
     psi = ShiftParams(psi)
-    world = cfsim.FittedWorld.from_cohort(cohort, psi, thresholds, features)
-    laws, baseline = _reference_fitted_laws(cohort, psi, thresholds, features)
+    world = cfsim.FittedWorld.from_cohort(cohort, psi, thresholds)
+    laws, baseline = _reference_fitted_laws(cohort, psi, thresholds)
     assert_same_arrays(world.covariate_laws, laws)
     assert np.array_equal(world.baseline, baseline)
 

@@ -19,7 +19,7 @@ from snftm.core import (
     Trajectory,
     apply_regime,
 )
-from snftm.shift import ShiftParams
+from snftm.shift import PSI_DIM, ShiftParams
 
 from conftest import make_config, table_law_config
 
@@ -197,12 +197,19 @@ def test_table_law_entries_are_checked(entry):
     [
         ({"f_terms": 5}, "field 'f_terms' must be a list of strings"),
         ({"f_terms": ["l", 1]}, "field 'f_terms' must be a list of strings"),
-        ({"psi_dim": "x"}, "field 'psi_dim' must be a non-negative integer"),
+        ({"psi_dim": "x"}, "field 'psi_dim' must be 3"),
         ({"g": {"clip": "ab"}}, "field 'clip' must be a list of 2 finite numbers"),
         ({"g": {"clip": [0.1]}}, "field 'clip' must be a list of 2 finite numbers"),
         ({"g": {"log": 1}}, "field 'log' must be true or false"),
         ({"g": {"powers": 1.5}}, "field 'powers' must be a non-negative integer"),
         ({"components": [0.5]}, "field 'components' must be a list of non-negative integers"),
+        ({"psi_dim": 2}, "field 'psi_dim' must be 3"),
+        ({"f_terms": []}, "field 'f_terms' must be a non-empty list"),
+        ({"g": {"clip": [1.0, 0.5]}}, "field 'clip' must be"),
+        ({"g": {"clip": [0.5, 0.5]}}, "field 'clip' must be"),
+        ({"g": {"clip": [0.0, 0.0], "log": True}}, "field 'clip' must be"),
+        ({"g": {"clip": [-1.0, -0.5], "log": True}}, "field 'clip' must be"),
+        ({"g": {"powers": 0}}, "field 'powers' must be at least 1"),
     ],
 )
 def test_treatment_spec_fields_are_typed(spec, message):
@@ -217,6 +224,12 @@ def test_treatment_spec_fields_are_typed(spec, message):
         ({"baseline_bounds": [0.0, "x"]}, "field 'baseline_bounds' must be a list of finite numbers"),
         ({"baseline_bounds": [0.0], "bins": 1.5}, "field 'bins' must be a list of finite numbers"),
         ({"baseline_bounds": [0.0], "psi_init": [0.0]}, "field 'psi_init' must be a list of 3 finite numbers"),
+        ({"baseline_bounds": []}, "field 'baseline_bounds' must be a strictly increasing list that starts at 0.0"),
+        ({"baseline_bounds": [0.5, 1.0, 2.0]}, "field 'baseline_bounds' must be"),
+        ({"baseline_bounds": [0.0, 2.0, 1.0]}, "field 'baseline_bounds' must be"),
+        ({"baseline_bounds": [0.0, 1.0, 1.0]}, "field 'baseline_bounds' must be"),
+        ({"baseline_bounds": [0.0], "bins": [2.0, 1.0]}, "field 'bins' must be positive and strictly increasing"),
+        ({"baseline_bounds": [0.0], "bins": [0.0]}, "field 'bins' must be positive and strictly increasing"),
     ],
 )
 def test_mle_template_fields_are_typed(rich_config, template, message):
@@ -225,25 +238,27 @@ def test_mle_template_fields_are_typed(rich_config, template, message):
 
 
 def test_typed_fields_keep_their_defaults():
-    spec = io.treatment_spec_from_dict({"g": {"clip": [0.1, 5.0], "log": True, "powers": 2}, "psi_dim": 2})
-    assert spec == gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.1, 5.0), log=True, powers=2), psi_dim=2)
+    spec = io.treatment_spec_from_dict({"g": {"clip": [0.1, 5.0], "log": True, "powers": 2}, "psi_dim": 3})
+    assert spec == gest.TreatmentModelSpec(g=gest.GFeature(clip=(0.1, 5.0), log=True, powers=2))
     assert io.treatment_spec_from_dict({"g": {"clip": None}}) == gest.TreatmentModelSpec()
 
 
 @st.composite
 def treatment_specs(draw):
-    psi_dim = draw(st.integers(0, 5))
+    """Specs the reader accepts: at least one history term and one power,
+    and a clip ``lo < hi`` with ``hi > 0`` under ``log``."""
     finite = st.floats(-1e6, 1e6)
+    log = draw(st.booleans())
+    clip = st.tuples(finite, finite).map(sorted).map(tuple).filter(lambda c: c[0] < c[1] and (c[1] > 0.0 or not log))
     return gest.TreatmentModelSpec(
-        f_terms=tuple(draw(st.lists(st.sampled_from(gest._F_TERMS), max_size=5))),
+        f_terms=tuple(draw(st.lists(st.sampled_from(gest._F_TERMS), min_size=1, max_size=5))),
         g=gest.GFeature(
-            clip=draw(st.none() | st.tuples(finite, finite).map(sorted).map(tuple)),
-            log=draw(st.booleans()),
-            powers=draw(st.integers(0, 4)),
+            clip=draw(st.none() | clip),
+            log=log,
+            powers=draw(st.integers(1, 4)),
             knots=tuple(draw(st.lists(st.floats(1e-3, 1e3), max_size=3, unique=True).map(sorted))),
         ),
-        components=tuple(draw(st.permutations(range(psi_dim))))[:draw(st.integers(0, psi_dim))],
-        psi_dim=psi_dim,
+        components=tuple(draw(st.permutations(range(PSI_DIM))))[:draw(st.integers(0, PSI_DIM))],
     )
 
 

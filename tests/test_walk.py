@@ -120,7 +120,7 @@ def _reference_blip_up(model, t0, lbar, abar):
 
 
 def _reference_log_density(model, traj):
-    shift_model = ShiftModel(model.psi, model.grid, model.features)
+    shift_model = ShiftModel(model.psi, model.grid)
     log_jac, t = 0.0, traj.event_time
     for m in range(len(traj.covariates) - 1, -1, -1):
         lbar, abar = traj.covariates[: m + 1], traj.treatments[: m + 1]
@@ -348,9 +348,8 @@ def test_bin_index_matches_searchsorted_left(t0):
     for thresholds in ((1.5,), (0.4, 1.0, 2.5), ()):
         want = int(np.searchsorted(np.asarray(thresholds), t0, side="left"))
         cfg = make_config(thresholds=thresholds)
-        world = cfsim.FittedWorld.from_dgp_config(cfg)
         model = mle.ParametricModel.template(cfg.grid, (0.0,), thresholds)
-        assert cfg.bin_index(t0) == world.bin_index(t0) == model.bin_index(t0) == want
+        assert cfg.bin_index(t0) == model.bin_index(t0) == want
 
 
 def test_bin_index_on_a_threshold_goes_left():
