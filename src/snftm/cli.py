@@ -153,7 +153,7 @@ def _cmd_estimate(args) -> int:
         "ci_interval": list(est.ci_interval()) if len(est.ci_grid) else None,
         "ci_grid": est.ci_grid.tolist(),
         "ci_mask": est.ci_mask.tolist(),
-        "alpha_trace": est.alpha_trace.tolist(),
+        "score_trace": est.score_trace.tolist(),
         "h_residual": est.h_residual.tolist(),
     })
     return 0

@@ -81,6 +81,7 @@ class GFeature:
 
 _F_TERMS = ("intercept", "l", "l_prev", "a_prev", "k")
 _N_SCAN = 9  # scan points bracketing the roots of one free component
+MAX_CI_GRID_POINTS = 100_000  # points of a confidence-set grid
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,13 @@ class _HistoryBlock:
         return cls(Fs, scale, Q, R)
 
     def augment(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The standardized design ``[Fs | G / std(G)]`` and its column scales.
+        """The augmentation columns standardized, ``Gs = G / std(G)``, and their
+        scales, once ``[F | G]`` is known to have full column rank.
 
-        Raises ``NonIdentifiableError`` when the design is rank deficient.  Its
-        rank comes from ``[[R, Q^T Gs], [0, R22]]``, where ``R22`` is the R
-        factor of the part of ``Gs`` orthogonal to ``Q`` (projected out twice,
-        which keeps that part accurate when it is small)."""
+        Raises ``NonIdentifiableError`` when it does not.  The rank of the
+        standardized ``[Fs | Gs]`` comes from ``[[R, Q^T Gs], [0, R22]]``, where
+        ``R22`` is the R factor of the part of ``Gs`` orthogonal to ``Q``
+        (projected out twice, which keeps that part accurate when it is small)."""
         g_scale = _unit_scale(G)
         Gs = G / g_scale
         C = self.Q.T @ Gs
@@ -177,7 +179,7 @@ class _HistoryBlock:
         R22 = np.linalg.qr(Z, mode="r")
         T = np.block([[self.R, C + C2], [np.zeros((len(R22), self.R.shape[1])), R22]])
         _require_full_rank(T, len(G))
-        return np.column_stack([self.Fs, Gs]), np.concatenate([self.scale, g_scale])
+        return Gs, g_scale
 
 
 class _GestData:
@@ -341,20 +343,17 @@ def _as_vector(psi) -> np.ndarray | None:
 
 
 def _fit_augmented(
-    data: _GestData,
-    psi: np.ndarray | None,
-    start: np.ndarray | None = None,
-    design: tuple[np.ndarray, np.ndarray] | None = None,
+    data: _GestData, psi: np.ndarray | None, G: np.ndarray | None = None
 ) -> TreatmentFit:
-    """Augmented fit at ``psi``, started from ``start`` (the full coefficient
-    vector) or else from the null fit with the augmentation coefficient at 0;
-    ``design`` passes in ``data.history.augment(data.g_columns(psi))`` when the
-    caller already has it."""
-    Xs, scale = data.history.augment(data.g_columns(psi)) if design is None else design
-    d_f = data.F.shape[1]
-    if start is None:
-        start = np.concatenate([data.null_fit.theta, np.zeros(Xs.shape[1] - d_f)])
+    """Augmented fit at ``psi``, started from the null fit with the augmentation
+    coefficient at 0; ``G`` passes in ``data.g_columns(psi)`` when the caller
+    already has it."""
+    h = data.history
+    Gs, g_scale = h.augment(data.g_columns(psi) if G is None else G)
+    start = np.concatenate([data.null_fit.theta, np.zeros(Gs.shape[1])])
+    Xs, scale = np.column_stack([h.Fs, Gs]), np.concatenate([h.scale, g_scale])
     beta, cov, norm, ll = _logistic_newton(Xs, scale, data.y, start=start)
+    d_f = data.F.shape[1]
     return TreatmentFit(beta[:d_f], beta[d_f:], cov, norm, ll, len(data.y))
 
 
@@ -401,9 +400,8 @@ def g_test(cohort: Cohort, spec: TreatmentModelSpec, psi0=None) -> GTestReport:
     data = _GestData(cohort, spec)
     psi_vec = _as_vector(psi0)
     G = data.g_columns(psi_vec)
-    design = data.history.augment(G)  # a collinear G fails here, not in the score test's solve
+    fit = _fit_augmented(data, psi_vec, G)  # rank-checks G before the score test's solve
     stat, df = _score_test(data, psi_vec, G)
-    fit = _fit_augmented(data, psi_vec, design=design)
     d = len(fit.alpha)
     wald = float(
         fit.alpha @ np.linalg.solve(fit.cov[-d:, -d:], fit.alpha)
@@ -498,7 +496,8 @@ def _slope(data: _GestData, active, step: float = 1e-4) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Root of the augmentation score and fitted coefficient, with test-inversion confidence set."""
+    """Root of the augmentation score and fitted coefficient, with test-inversion confidence
+    set: ``ci_mask`` holds where the score statistic ``score_trace`` does not reject."""
 
     psi: np.ndarray
     components: tuple[int, ...]
@@ -507,7 +506,7 @@ class PsiEstimate:
     se: np.ndarray
     ci_grid: np.ndarray
     ci_mask: np.ndarray
-    alpha_trace: np.ndarray
+    score_trace: np.ndarray
     h_residual: np.ndarray
 
     @property
@@ -537,8 +536,8 @@ def estimate_psi(
     search, with the sandwich's finite-difference slope, from the coarse-grid
     point of smallest score norm.  All roots in the box are reported; the one
     with the smallest fitted coefficient is primary.  The null treatment fit is
-    made once; the confidence-set trace starts each fit on the line through
-    the fits at the two previous grid points.
+    made once; the confidence set, one free component only, is the score test
+    at each point of a grid of at most ``MAX_CI_GRID_POINTS``, with no fits.
     """
     from scipy import optimize  # deferred: g_test needs only scipy.special
 
@@ -552,6 +551,15 @@ def estimate_psi(
     box = [tuple(map(float, b)) for b in box]
     if len(box) != d:
         raise SnftmError(f"search box must have {d} intervals, got {len(box)}")
+    compute_ci = compute_ci and d == 1
+    if compute_ci:
+        lo, hi = box[0]
+        n_points = np.ceil((hi + 0.5 * grid_pitch - lo) / grid_pitch) if grid_pitch > 0 else np.nan
+        if not n_points <= MAX_CI_GRID_POINTS:  # n_points is np.arange's count
+            raise SnftmError(
+                f"confidence grid pitch {grid_pitch:g} on [{lo:g}, {hi:g}] must be positive and "
+                f"give at most {MAX_CI_GRID_POINTS} points; it gives {n_points:.4g}"
+            )
 
     alpha_at = lambda active: _fit_augmented(data, spec.embed(active)).alpha
     if d == 1:
@@ -602,26 +610,14 @@ def estimate_psi(
 
     _, se = _sandwich(data, spec.embed(active_hat))
 
-    if compute_ci and d == 1:
-        lo, hi = box[0]
-        ci_grid = np.arange(lo, hi + 0.5 * grid_pitch, grid_pitch)
-        trace = np.empty(len(ci_grid))
-        mask = np.zeros(len(ci_grid), dtype=bool)
-        prev = last = None  # coefficients at the two previous grid points
-        for idx, x in enumerate(ci_grid):
-            vec = spec.embed(np.array([x]))
-            G = data.g_columns(vec)
-            design = data.history.augment(G)
-            stat, df = _score_test(data, vec, G)
-            mask[idx] = special.chdtrc(df, stat) >= level
-            start = last if prev is None else 2.0 * last - prev
-            fit = _fit_augmented(data, vec, start, design)
-            trace[idx] = fit.alpha[0]
-            prev, last = last, np.concatenate([fit.theta, fit.alpha])
-    else:
-        ci_grid = np.zeros((0,))
-        mask = np.zeros((0,), dtype=bool)
-        trace = np.zeros((0,))
+    ci_grid = np.arange(lo, hi + 0.5 * grid_pitch, grid_pitch) if compute_ci else np.zeros((0,))
+    trace = np.empty(len(ci_grid))
+    for idx, x in enumerate(ci_grid):
+        vec = spec.embed([x])
+        G = data.g_columns(vec)
+        data.history.augment(G)  # a collinear G fails here, not in the score test's solve
+        trace[idx], _ = _score_test(data, vec, G)
+    mask = special.chdtrc(d, trace) >= level
 
     return PsiEstimate(
         psi=spec.embed(active_hat),
@@ -631,6 +627,6 @@ def estimate_psi(
         se=se,
         ci_grid=ci_grid,
         ci_mask=mask,
-        alpha_trace=trace,
+        score_trace=trace,
         h_residual=_h_matrix(data, spec.embed(active_hat)).mean(axis=0),
     )

@@ -61,7 +61,8 @@ def test_gtest_stdout_and_estimate_file(tmp_path, capsys):
         "--box=-1.5:0.4", "--pitch", "0.05", "--out", est,
     ) == 0
     d = json.loads(est.read_text())
-    assert len(d["psi_hat"]) == 3 and len(d["ci_grid"]) == len(d["alpha_trace"])
+    assert len(d["psi_hat"]) == 3 and len(d["ci_grid"]) == len(d["score_trace"])
+    assert "alpha_trace" not in d
 
 
 def test_verify_suite_exit_zero():
@@ -335,4 +336,16 @@ def test_collinear_augmentation_is_one_error_line(tmp_path, capsys, small_cohort
     capsys.readouterr()
     assert run_cli("gtest", "--cohort", small_cohort, "--spec", spec, "--psi0=0.3,0,0", "--out", out) == 1
     _one_error_line(capsys, "rank deficient")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pitch", ["1e-9", "1e-300"])
+def test_huge_ci_grid_is_one_error_line(tmp_path, capsys, small_cohort, pitch):
+    out = tmp_path / "est.json"
+    capsys.readouterr()
+    assert run_cli(
+        "estimate", "--cohort", small_cohort, "--spec", CONFIGS / "treatment_model.json",
+        "--box=-1.5:0.5", "--pitch", pitch, "--out", out,
+    ) == 1
+    _one_error_line(capsys, f"pitch {float(pitch):g}")
     assert not out.exists()

@@ -160,9 +160,10 @@ def test_cheap_rank_check_matches_matrix_rank(n, d_f, case, perturbation, seed):
     assume(not 1e-3 < margin < 1e3)
     history = gest._HistoryBlock.of(F)
     if margin > 1.0:
-        Xs, scale = history.augment(G)
+        Gs, g_scale = history.augment(G)
         X = np.column_stack([F, G])
-        assert np.array_equal(Xs, X / scale)
+        scale = np.concatenate([history.scale, g_scale])
+        assert np.array_equal(np.column_stack([history.Fs, Gs]), X / scale)
     else:
         with pytest.raises(NonIdentifiableError):
             history.augment(G)
@@ -312,10 +313,13 @@ class TestSharedNullFit:
             assert df == df_ref == 1
             assert abs(stat - ref) <= 1e-12 * abs(ref)
 
-    def test_warm_trace_matches_cold_fits(self, cohort, estimate):
+    def test_score_trace_matches_refit(self, cohort, estimate):
         data = gest._GestData(cohort, SPEC)
-        cold = [_cold_alpha(data, SPEC.embed([x]))[0] for x in estimate.ci_grid]
-        np.testing.assert_allclose(estimate.alpha_trace, cold, rtol=0.0, atol=1e-9)
+        for x, stat in zip(estimate.ci_grid, estimate.score_trace, strict=True):
+            ref, _ = _score_test_refit(data, SPEC.embed([x]))
+            assert abs(stat - ref) <= 1e-12 * abs(ref)
+        accepted = special.chdtrc(1, estimate.score_trace) >= 0.05
+        np.testing.assert_array_equal(estimate.ci_mask, accepted)
 
     def test_ci_mask_matches_refit_loop(self, cohort, estimate):
         data = gest._GestData(cohort, SPEC)
@@ -348,7 +352,7 @@ class TestSharedNullFit:
         fits = self._count_fits(cohort, monkeypatch)
         est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
         assert len(est.ci_grid) > 1
-        assert fits["null"] == 1
+        assert fits == {"null": 1, "augmented": len(est.roots)}
 
     def test_root_search_fits_only_at_roots(self, cohort, monkeypatch):
         fits = self._count_fits(cohort, monkeypatch)
@@ -364,6 +368,37 @@ class TestSharedNullFit:
             assert np.sign(score) == np.sign(alpha) != 0.0
             signs.add(np.sign(score))
         assert signs == {-1.0, 1.0}
+
+    def test_collinear_grid_point_is_non_identifiable(self, cohort, monkeypatch):
+        """Once the root and its standard error are found, every augmentation
+        column turns constant: the grid's rank check must reject it."""
+        sandwich, g_columns = gest._sandwich, gest._GestData.g_columns
+        done = []
+
+        def flagging(*args, **kwargs):
+            out = sandwich(*args, **kwargs)
+            done.append(True)
+            return out
+
+        def collinear(self, psi):
+            G = g_columns(self, psi)
+            return np.full_like(G, 2.5) if done else G
+
+        monkeypatch.setattr(gest, "_sandwich", flagging)
+        monkeypatch.setattr(gest._GestData, "g_columns", collinear)
+        with pytest.raises(NonIdentifiableError, match="rank deficient"):
+            gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
+        assert done
+
+    @pytest.mark.parametrize("pitch", [1e-9, 1e-300, 0.0, -0.01])
+    def test_ci_grid_pitch_is_checked(self, cohort, monkeypatch, pitch):
+        fits = self._count_fits(cohort, monkeypatch)
+        with pytest.raises(SnftmError, match=f"pitch {pitch:g} .* points"):
+            gest.estimate_psi(cohort, SPEC, [(-1.5, 0.5)], grid_pitch=pitch)
+        assert fits == {"null": 0, "augmented": 0}
+        # the cap binds only where a grid is built
+        est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=pitch, compute_ci=False)
+        assert len(est.ci_grid) == len(est.score_trace) == 0
 
     def test_ci_checks_rank_on_small_factors(self, cohort, monkeypatch):
         """An estimate with CI standardizes and factors the history block once;
