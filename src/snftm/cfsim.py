@@ -132,8 +132,7 @@ def simulate_counterfactual(
     grid = world.grid
     require_visits(regime, grid.K + 1)
     if t_grid is None:
-        hi = 1.5 * grid.taus[-1]
-        t_grid = np.linspace(hi / 20, hi, 20)
+        t_grid = grid.curve_times()
     uniforms = _rng.stream(seed, "cfsim").random((n, grid.K + 2))
     (times,) = in_chunks(lambda u: _walk(world, regime, u)[:1], uniforms)
     return SampledSurvival.of(times, t_grid)

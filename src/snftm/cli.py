@@ -1,7 +1,9 @@
 """Single entry point: simulate / gcomp / gtest / estimate / mle / cfsim / verify.
 
-Every run is deterministic by default (fixed seed constant), logs its resolved
-configuration as one JSON line to stderr, and writes outputs atomically.
+Every run is deterministic: the commands that draw random numbers (simulate,
+gcomp --mc, cfsim) take ``--seed``, a fixed constant by default.  Each run
+logs its resolved configuration as one JSON line to stderr and writes outputs
+atomically.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
@@ -50,8 +52,8 @@ def _jsonable(v):
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 
-def _write_curve_csv(path, rows, header="t,survival,stderr"):
-    lines = [f"# schema_version={SCHEMA_VERSION}", header]
+def _write_curve_csv(path, rows):
+    lines = [f"# schema_version={SCHEMA_VERSION}", "t,survival,stderr"]
     lines += [",".join(repr(float(c)) for c in row) for row in rows]
     io_mod.atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -87,6 +89,10 @@ def _tol_arg(text: str) -> float:
 
 def _seed_arg(text: str) -> int:
     return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 0, "a non-negative integer", int)[0]
+
+
+def _threads_arg(text: str) -> int:
+    return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 1, "a positive integer", int)[0]
 
 
 def _cmd_simulate(args) -> int:
@@ -222,24 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument(
-            "--seed", type=_seed_arg, default=rng_mod.DEFAULT_SEED,
-            help="master seed (fixed constant by default: runs are reproducible)",
-        )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; has no effect",
-        )
-        if out_required:
-            p.add_argument("--out", required=True, help="output path")
-        else:
-            p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    def seed(p):
+        p.add_argument("--seed", type=_seed_arg, default=rng_mod.DEFAULT_SEED,
+                       help="master seed (fixed constant by default: runs are reproducible)")
+
+    def threads(p):
+        p.add_argument("--threads", type=_threads_arg, default=1, help="accepted for compatibility; has no effect")
+
+    def out(p, required=True):
+        p.add_argument("--out", required=required, help="output path" + ("" if required else " (stdout if omitted)"))
 
     p = sub.add_parser("simulate", help="draw a cohort from a world config")
     p.add_argument("--dgp", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    seed(p)
+    threads(p)
+    out(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gcomp", help="counterfactual survival curve by G-computation")
@@ -247,14 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", required=True)
     p.add_argument("--t-grid", required=True, help="a:b:step")
     p.add_argument("--mc", type=int, default=0, help="Monte-Carlo draws instead of exact recursion")
-    common(p)
+    seed(p)
+    threads(p)
+    out(p)
     p.set_defaults(func=_cmd_gcomp)
 
     p = sub.add_parser("gtest", help="G-null / candidate-parameter test")
     p.add_argument("--cohort", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--psi0", type=_psi_arg, default=None, help="candidate psi1,psi2,psi3 (default: identity)")
-    common(p, out_required=False)
+    out(p, required=False)
     p.set_defaults(func=_cmd_gtest)
 
     p = sub.add_parser("estimate", help="G-estimation of the shift parameters")
@@ -267,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tol_arg, default=1e-6,
         help="largest accepted |augmentation coefficient| at the reported root",
     )
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("mle", help="parametric maximum likelihood fit and null tests")
     p.add_argument("--cohort", required=True)
     p.add_argument("--model", required=True)
-    common(p)
+    out(p)
     p.set_defaults(func=_cmd_mle)
 
     p = sub.add_parser("cfsim", help="simulate counterfactual outcomes under a regime")
@@ -282,13 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-grid", default=None)
     p.add_argument("--mean-out", default=None)
-    common(p)
+    seed(p)
+    threads(p)
+    out(p)
     p.set_defaults(func=_cmd_cfsim)
 
     p = sub.add_parser("verify", help="exact theorem checks on a small world")
     p.add_argument("--dgp", required=True)
     p.add_argument("--suite", choices=("gcomp", "blip", "null", "all"), default="all")
-    common(p, out_required=False)
+    threads(p)
+    out(p, required=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

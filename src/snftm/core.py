@@ -159,6 +159,15 @@ class TimeGrid:
             raise GridBoundsError(f"interval_index needs t > 0, got {t}")
         return min(bisect.bisect_left(self.taus, t) - 1, self.K)
 
+    def implied_visits(self, t: np.ndarray) -> np.ndarray:
+        """Visits recorded by a subject dying at each event time ``t > 0``: ``interval_index + 1``."""
+        return np.minimum(np.searchsorted(self._taus_arr, t, side="left") - 1, self.K) + 1
+
+    def curve_times(self) -> np.ndarray:
+        """The default times of a survival curve: 20 equal steps up to 1.5 times ``tau_K``."""
+        hi = 1.5 * self.taus[-1]
+        return np.linspace(hi / 20, hi, 20)
+
 
 # ---------------------------------------------------------------------------
 # Piecewise-exponential survival curves
@@ -206,10 +215,8 @@ class SurvivalCurve:
         j = self._piece(t)
         return self._cumhaz[j] + self.rates[j] * (t - self.bounds[j])
 
-    def eval(self, t):
-        """Survival probability at ``t >= support_start``; an array maps the scalar call elementwise."""
-        if np.ndim(t):
-            return np.vectorize(self.eval, otypes=[float])(t)
+    def eval(self, t: float) -> float:
+        """Survival probability at ``t >= support_start``."""
         if t < self.support_start:
             raise CurveDomainError(f"curve is defined on [{self.support_start}, inf), got t={t}")
         return float(np.exp(-self.cum_hazard(t)))
@@ -395,7 +402,7 @@ class Cohort:
         self.subject = np.repeat(np.arange(len(t)), n_visits)
         fail(np.isin(np.arange(len(t)), self.subject[(l < 0) | (a < 0)]), CohortFormatError,
              lambda i: "covariate/treatment codes are non-negative integers")
-        expect = np.minimum(np.searchsorted(grid._taus_arr, t, side="left") - 1, grid.K) + 1
+        expect = grid.implied_visits(t)
         fail(n_visits != expect, CohortFormatError,
              lambda i: f"{n_visits[i]} visits recorded but event time {t[i]} implies {expect[i]}")
         first = np.cumsum(n_visits) - n_visits

@@ -300,9 +300,9 @@ def sample_cohort(cfg: DgpConfig, n: int, seed: int | None = None) -> Cohort:
     return Cohort.from_columns(cfg.grid, *in_chunks(lambda u: _walk(cfg, u), uniforms))
 
 
-def true_conditional_laws(cfg: DgpConfig, max_cells: int = 10_000_000):
-    """The exact observed-data conditional laws implied by the structural
-    config, by closed-form enumeration (no sampling)."""
+def true_conditional_laws(cfg: DgpConfig):
+    """The exact observed-data conditional laws implied by the structural config,
+    by closed-form enumeration (no sampling) of at most 10 million history cells."""
     from . import oracle  # deferred: oracle builds on this module's types
 
-    return oracle.enumerate_world(cfg, max_cells=max_cells).conditional_laws()
+    return oracle.enumerate_world(cfg, max_cells=10_000_000).conditional_laws()

@@ -68,9 +68,6 @@ class ConditionalLaws:
         except KeyError:
             raise UndefinedCellError(f"no interval survival for cell {key}") from None
 
-    def has_cell(self, m: int, lbar, abar) -> bool:
-        return (m, tuple(lbar), tuple(abar)) in self.covariate_transition
-
 
 def s_conditional(laws: ConditionalLaws, regime: TreatmentRegime, lbar, t: float) -> float:
     """``P(T^g > t | Lbar_k = lbar, Abar_{k-1} follows g, T > tau_k)``.

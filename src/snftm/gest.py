@@ -82,6 +82,9 @@ class GFeature:
 _F_TERMS = ("intercept", "l", "l_prev", "a_prev", "k")
 _N_SCAN = 9  # scan points bracketing the roots of one free component
 MAX_CI_GRID_POINTS = 100_000  # points of a confidence-set grid
+_CI_LEVEL = 0.05  # a confidence-set point is accepted where the score test's p-value is at least this
+_NEWTON_TOL = 1e-10  # a logistic fit converges once its largest |standardized score| is below this
+_NEWTON_MAX_ITER = 120
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,6 @@ def _logistic_newton(
     Xs: np.ndarray,
     scale: np.ndarray,
     y: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 120,
     start: np.ndarray | None = None,
 ):
     """Newton-Raphson logistic MLE; returns (beta, covariance, score_norm, loglik).
@@ -265,10 +266,10 @@ def _logistic_newton(
     beta = np.zeros(d) if start is None else np.asarray(start, dtype=float) * scale
     eta = Xs @ beta
     ll = _loglik(y, eta)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         p = special.expit(eta)
         score = Xs.T @ (y - p)
-        if float(np.max(np.abs(score))) < tol:
+        if float(np.max(np.abs(score))) < _NEWTON_TOL:
             if float(np.max(np.abs(beta))) > 15.0:
                 raise SeparationError(
                     f"logistic likelihood diverges (max |standardized coef| "
@@ -302,7 +303,7 @@ def _logistic_newton(
             best=beta / scale,
         )
     raise ConvergenceError(
-        f"logistic fit did not reach score norm {tol:g} in {max_iter} iterations",
+        f"logistic fit did not reach score norm {_NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations",
         best=beta / scale,
     )
 
@@ -451,10 +452,11 @@ def sandwich_variance(
     Returns ``(variance_matrix, se_vector)`` on the active components; the
     standard error already includes the 1/n factor.
     """
-    return _sandwich(_GestData(cohort, spec), psi_hat, step)
+    return _sandwich(_GestData(cohort, spec), psi_hat, step)[:2]
 
 
 def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
+    """``sandwich_variance`` on built data, and the per-subject estimating function it used."""
     spec = data.spec
     active = np.asarray(psi_hat, dtype=float)[list(spec.components)]
     d = len(spec.components)
@@ -473,7 +475,7 @@ def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
     Dinv = np.linalg.inv(D)
     var = Dinv @ V @ Dinv.T
     se = np.sqrt(np.diag(var) / data.n_subjects)
-    return var, se
+    return var, se, h
 
 
 def _mean_score(data: _GestData, active) -> np.ndarray:
@@ -523,7 +525,6 @@ def estimate_psi(
     cohort: Cohort,
     spec: TreatmentModelSpec,
     box: Sequence[tuple[float, float]],
-    level: float = 0.05,
     grid_pitch: float = 0.01,
     tol_alpha: float = 1e-6,
     compute_ci: bool = True,
@@ -608,7 +609,7 @@ def estimate_psi(
         active_hat = np.asarray(sol.x)
         all_roots = (tuple(float(v) for v in active_hat),)
 
-    _, se = _sandwich(data, spec.embed(active_hat))
+    _, se, h = _sandwich(data, spec.embed(active_hat))
 
     ci_grid = np.arange(lo, hi + 0.5 * grid_pitch, grid_pitch) if compute_ci else np.zeros((0,))
     trace = np.empty(len(ci_grid))
@@ -617,7 +618,7 @@ def estimate_psi(
         G = data.g_columns(vec)
         data.history.augment(G)  # a collinear G fails here, not in the score test's solve
         trace[idx], _ = _score_test(data, vec, G)
-    mask = special.chdtrc(d, trace) >= level
+    mask = special.chdtrc(d, trace) >= _CI_LEVEL
 
     return PsiEstimate(
         psi=spec.embed(active_hat),
@@ -628,5 +629,5 @@ def estimate_psi(
         ci_grid=ci_grid,
         ci_mask=mask,
         score_trace=trace,
-        h_residual=_h_matrix(data, spec.embed(active_hat)).mean(axis=0),
+        h_residual=h.mean(axis=0),
     )

@@ -227,7 +227,7 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     subj, k = np.array(list(visits), dtype=np.int64).reshape(-1, 2).T
     ended, n_visits, event_times = np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64), np.ones(n)
     ended[list(ends)], n_visits[list(ends)], event_times[list(ends)] = True, end_k, end_t
-    implied = np.minimum(np.searchsorted(taus, event_times, side="left") - 1, K) + 1
+    implied = grid.implied_visits(event_times)
     # A subject's visits are distinct and >= 0: exactly 0 .. m - 1 when there are m and the largest is m - 1.
     counts, largest = np.bincount(subj, minlength=n), np.full(n, -1)
     np.maximum.at(largest, subj, k)

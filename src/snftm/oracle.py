@@ -65,6 +65,11 @@ class _Node:
     d_prev: float
     scale: float
 
+    @classmethod
+    def empty(cls, cfg: DgpConfig) -> "_Node":
+        """The empty history, the parent of every enrollment node."""
+        return cls(-1, (), (), np.ones(cfg.n_bins), -math.inf, 0.0, 0.0, 1.0)
+
     def t0_of_t(self, grid: TimeGrid, t: float) -> float:
         """Never-treated time of a subject on this path dying at ``t``."""
         return grid.tau(self.k) + (t - grid.tau(self.k)) * self.scale + self.d_prev
@@ -85,12 +90,13 @@ def _mixture_mass(baseline: SurvivalCurve, bin_edges, weights, above: float, upt
     return sum(w * (s[b] - s[b + 1]) for b, w in enumerate(weights) if w > 0.0)
 
 
-def _enumerate_stages(cfg: DgpConfig, psi: ShiftParams, root: _Node, regime=None, max_cells=1_000_000):
-    """Unroll all positive-probability paths below ``root``; with ``regime``
+def _enumerate_stages(cfg: DgpConfig, regime=None, max_cells=1_000_000):
+    """Unroll all positive-probability paths of the world ``cfg``; with ``regime``
     set, treatments follow the regime instead of the treatment law
     (counterfactual world)."""
     grid = cfg.grid
-    model = ShiftModel(psi, grid)
+    root = _Node.empty(cfg)
+    model = ShiftModel(cfg.psi0, grid)
     B = cfg.n_bins
     stages: list[dict] = [{} for _ in range(grid.K + 1)]
     count = 0
@@ -216,8 +222,8 @@ class EnumeratedWorld:
     def __init__(self, cfg: DgpConfig, max_cells: int = 1_000_000):
         self.cfg = cfg
         self.max_cells = max_cells
-        self.root = _Node(-1, (), (), np.ones(cfg.n_bins), -math.inf, 0.0, 0.0, 1.0)  # the empty history
-        self.stages = _enumerate_stages(cfg, cfg.psi0, self.root, max_cells=max_cells)
+        self.root = _Node.empty(cfg)
+        self.stages = _enumerate_stages(cfg, max_cells=max_cells)
         self.bin_edges = (0.0,) + cfg.thresholds + (math.inf,)
         self._laws = None
         self._regime_memo = (None, None)  # (regime, its stages): a one-entry memo
@@ -299,7 +305,7 @@ class EnumeratedWorld:
         one regime; a one-entry memo keeps memory flat over many regimes)."""
         if self._regime_memo[0] is not regime:
             require_visits(regime, self.grid.K + 1)
-            stages = _enumerate_stages(self.cfg, self.cfg.psi0, self.root, regime, self.max_cells)
+            stages = _enumerate_stages(self.cfg, regime, self.max_cells)
             self._regime_memo = (regime, stages)
         return self._regime_memo[1]
 
@@ -365,10 +371,6 @@ class EnumeratedWorld:
             return 0.0
         return float(node.pi[b]) * self.cfg.baseline.density(x) * node.scale
 
-    def default_time_grid(self) -> np.ndarray:
-        hi = 1.5 * self.grid.taus[-1]
-        return np.linspace(hi / 20, hi, 20)
-
 
 def enumerate_world(cfg: DgpConfig, max_cells: int = 1_000_000) -> EnumeratedWorld:
     return EnumeratedWorld(cfg, max_cells=max_cells)
@@ -386,7 +388,7 @@ def verify_gcomputation(world: EnumeratedWorld, regime: TreatmentRegime, t_grid=
     if not is_evaluable(regime, world):
         skipped = (f"regime {regime.label or regime} is not evaluable; theorem does not apply",)
         return Report(name, True, 0.0, skipped=skipped)
-    t_grid = world.default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    t_grid = world.grid.curve_times() if t_grid is None else np.asarray(t_grid, dtype=float)
     laws = world.conditional_laws()
     grid = world.grid
     worst, worst_where = 0.0, ""
@@ -537,7 +539,7 @@ def verify_null_equivalence(world: EnumeratedWorld, tol: float = 1e-12, witness_
     regimes that differ only in that cell's dose are produced as an explicit
     witness pair and their curves must separate.
     """
-    t_grid = world.default_time_grid()
+    t_grid = world.grid.curve_times()
     grid = world.grid
     off_identity = [
         (k, lbar, abar)

@@ -1,10 +1,12 @@
 """Named counter-based random streams.
 
 All randomness in the package flows from one master seed through streams
-addressed by a path such as ``("dgp", subject)`` or
-``("mc", replicate)``.  Streams are Philox counter-based generators, so any
-stream can be reconstructed independently of how many others were used —
-subject 7's draws do not depend on the cohort size or on thread scheduling.
+named by one string: ``"dgp"`` (cohort sampling), ``"cfsim"``
+(counterfactual draws) and ``"mcgcomp"`` (Monte-Carlo G-computation).
+Each draws one row of uniforms per subject, draw or path from its stream,
+so row ``i`` does not depend on how many rows follow it: subject 7's draws
+do not depend on the cohort size.  Streams are Philox counter-based
+generators; none depends on which other streams were used.
 """
 
 from __future__ import annotations
@@ -15,29 +17,13 @@ import numpy as np
 
 DEFAULT_SEED = 77003917
 
-_INT_TAG = 0x01
-_STR_TAG = 0x02
+_KEY_TAG = 0x02  # the first spawn-key word of every stream: another value re-keys them all
 
 
-def _words(component) -> tuple[int, ...]:
-    if isinstance(component, (bool,)):
-        raise TypeError("stream path components must be ints or strings")
-    if isinstance(component, (int, np.integer)):
-        v = int(component) & 0xFFFFFFFFFFFFFFFF
-        return (_INT_TAG, v & 0xFFFFFFFF, (v >> 32) & 0xFFFFFFFF)
-    if isinstance(component, str):
-        digest = hashlib.sha256(component.encode("utf-8")).digest()
-        return (
-            _STR_TAG,
-            int.from_bytes(digest[:4], "little"),
-            int.from_bytes(digest[4:8], "little"),
-        )
-    raise TypeError(f"stream path components must be ints or strings, got {component!r}")
-
-
-def stream(seed: int, *path) -> np.random.Generator:
-    """A generator for the stream named by ``path`` under ``seed``."""
-    key = tuple(w for c in path for w in _words(c))
+def stream(seed: int, name: str) -> np.random.Generator:
+    """A generator for the stream named ``name`` under ``seed``."""
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    key = (_KEY_TAG, int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:8], "little"))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 

@@ -287,7 +287,6 @@ class BlipTable:
     row_c0: np.ndarray
     base: np.ndarray
     terminal_features: np.ndarray
-    event_times: np.ndarray
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "BlipTable":
@@ -305,7 +304,6 @@ class BlipTable:
             row_c0=np.where(ix.last, 0.0, -delta),
             base=taus[ix.k[ix.last]],
             terminal_features=row_features[ix.last],
-            event_times=ix.event_times,
         )
 
     def t0(self, psi: np.ndarray) -> np.ndarray:

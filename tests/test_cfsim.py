@@ -16,7 +16,7 @@ def test_exact_world_baseline_regime_matches_baseline_curve(rich_config):
     res = cfsim.simulate_counterfactual(world, NEVER, 20_000, seed=3)
     times = np.sort(res.event_times)
     n = len(times)
-    grid_u = rich_config.baseline.eval(times)
+    grid_u = np.array([rich_config.baseline.eval(t) for t in times])
     empirical_above = 1.0 - np.arange(1, n + 1) / n
     ks = np.max(np.abs(grid_u - empirical_above))
     assert ks < 1.36 / math.sqrt(n)

@@ -349,3 +349,51 @@ def test_huge_ci_grid_is_one_error_line(tmp_path, capsys, small_cohort, pitch):
     ) == 1
     _one_error_line(capsys, f"pitch {float(pitch):g}")
     assert not out.exists()
+
+
+_COMMANDS = {
+    "simulate": ("--dgp", CONFIGS / "demo_dgp.json", "--n", 50),
+    "gcomp": ("--laws", CONFIGS / "demo_dgp.json", "--regime", CONFIGS / "regime_never.json",
+              "--t-grid", "0.5:1.0:0.5", "--mc", 50),
+    "cfsim": ("--world", CONFIGS / "world_exact.json", "--regime", CONFIGS / "regime_never.json", "--n", 50),
+    "verify": ("--dgp", CONFIGS / "demo_dgp_null.json", "--suite", "null"),
+    "gtest": ("--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json"),
+    "estimate": ("--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json", "--box=-1.5:0.5", "--no-ci"),
+    "mle": ("--cohort", COHORT, "--model", CONFIGS / "mle_model.json"),
+}
+
+
+def _argv(command, tmp_path, small_cohort):
+    inputs = (small_cohort if a == COHORT else a for a in _COMMANDS[command])
+    return (command, *inputs, "--out", tmp_path / command)
+
+
+@pytest.mark.parametrize(
+    "command, reads",
+    [("simulate", {"seed", "threads"}), ("gcomp", {"seed", "threads"}), ("cfsim", {"seed", "threads"}),
+     ("verify", {"threads"}), ("gtest", set()), ("estimate", set()), ("mle", set())],
+)
+def test_each_command_takes_only_what_it_reads(tmp_path, capsys, small_cohort, command, reads):
+    argv = _argv(command, tmp_path, small_cohort)
+    for flag, value in (("seed", 1), ("threads", 2)):
+        capsys.readouterr()
+        code = run_cli(*argv, f"--{flag}", value)
+        if flag in reads:
+            assert code == 0
+        else:
+            assert code == 2 and f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    logged = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert logged["command"] == command and {"seed", "threads"} & set(logged) == reads
+
+
+@pytest.mark.parametrize("command", ["simulate", "gcomp", "cfsim", "verify"])
+def test_threads_is_a_positive_integer(tmp_path, capsys, small_cohort, command):
+    argv = _argv(command, tmp_path, small_cohort)
+    for value in ("0", "-7", "x"):
+        capsys.readouterr()
+        assert run_cli(*argv, "--threads", value) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --threads" in err and "Traceback" not in err, err
+    assert not any(tmp_path.iterdir())

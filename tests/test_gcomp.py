@@ -35,7 +35,7 @@ def nested_sum_reference(laws, regime, lbar, t):
         for m in range(k + 1, p + 1):
             prefix = hist[:m]
             aprefix = apply_regime(regime, prefix)
-            if not laws.has_cell(m, prefix, aprefix):
+            if (m, prefix, aprefix) not in laws.covariate_transition:
                 ok = False
                 break
             term *= laws.survival(m, prefix, aprefix).eval(grid.tau(m))

@@ -354,6 +354,19 @@ class TestSharedNullFit:
         assert len(est.ci_grid) > 1
         assert fits == {"null": 1, "augmented": len(est.roots)}
 
+    def test_one_estimating_function_build_per_estimate(self, cohort, monkeypatch):
+        builds = []
+        h_matrix = gest._h_matrix
+
+        def counting(*args):
+            builds.append(1)
+            return h_matrix(*args)
+
+        monkeypatch.setattr(gest, "_h_matrix", counting)
+        est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], grid_pitch=0.1)
+        assert len(builds) == 1
+        assert est.h_residual.tolist() == h_matrix(gest._GestData(cohort, SPEC), est.psi).mean(axis=0).tolist()
+
     def test_root_search_fits_only_at_roots(self, cohort, monkeypatch):
         fits = self._count_fits(cohort, monkeypatch)
         est = gest.estimate_psi(cohort, SPEC, [(-0.2, 1.6)], compute_ci=False)

@@ -63,10 +63,8 @@ def _reference_blip_table(cohort):
     subj, rows, c1, c0 = [], [], [], []
     base = np.empty(len(cohort))
     term_rows = []
-    times = np.empty(len(cohort))
     for i, traj in enumerate(cohort):
         p = traj.n_visits - 1
-        times[i] = traj.event_time
         base[i] = grid.tau(p)
         for m in range(p + 1):
             x = default_features(m, traj.covariates[: m + 1], traj.treatments[: m + 1])
@@ -87,7 +85,6 @@ def _reference_blip_table(cohort):
         row_c0=np.asarray(c0),
         base=base,
         terminal_features=np.vstack(term_rows),
-        event_times=times,
     )
 
 
@@ -203,7 +200,7 @@ def test_blip_table_matches_reference_loop(cohort, psi):
     got = BlipTable.from_cohort(cohort)
     want = _reference_blip_table(cohort)
     assert got.n_subjects == want.n_subjects
-    for name in ("row_subject", "row_features", "row_c1", "row_c0", "base", "terminal_features", "event_times"):
+    for name in ("row_subject", "row_features", "row_c1", "row_c0", "base", "terminal_features"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.t0(np.asarray(psi)), want.t0(np.asarray(psi)))
 

@@ -160,6 +160,18 @@ def assert_rows_match(batch, single, want):
 ROWS = st.lists(st.lists(UNIFORM, min_size=9, max_size=9), min_size=1, max_size=6)
 
 
+def test_named_streams_are_pinned():
+    """Each stream's first draws: re-keying a stream would change every seeded output."""
+    pinned = {
+        "dgp": ([0.9327447774356386, 0.9819384132334424], [3092920692, 2981661364]),
+        "cfsim": ([0.9598568538402509, 0.2255754150368524], [3673030255, 1431457544]),
+        "mcgcomp": ([0.5544439924880616, 0.6652415546238942], [98451207, 3550851598]),
+    }
+    for name, (uniforms, words) in pinned.items():
+        assert rng.stream(rng.DEFAULT_SEED, name).random(2).tolist() == uniforms
+        assert rng.stream(5, name).integers(0, 2**32, 2).tolist() == words
+
+
 class TestCategorical:
     def test_matches_reference_draw(self):
         probs = np.array([0.2, 0.5, 0.3])
