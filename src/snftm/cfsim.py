@@ -6,7 +6,7 @@ fitted treatment effects one interval at a time until the candidate event
 time settles.  Built from estimates this approximates the regime-specific
 survival law; built from exact structural ingredients it reproduces it.
 All draws walk together, one visit at a time (``shift.walk_up_array``);
-each equals the scalar ``shift.walk_up`` on its own row of uniforms.
+each depends only on its own row of uniforms.
 """
 
 from __future__ import annotations

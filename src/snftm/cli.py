@@ -30,8 +30,11 @@ SCHEMA_VERSION = io_mod.SCHEMA_VERSION
 
 
 def _log_run(sub: str, args: argparse.Namespace):
+    unread = {"func"}
+    if sub == "gcomp" and not args.mc:
+        unread.add("seed")  # the exact recursion draws nothing
     payload = {"command": sub}
-    payload.update({k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None})
+    payload.update({k: v for k, v in sorted(vars(args).items()) if k not in unread and v is not None})
     print(json.dumps(payload, default=str), file=sys.stderr)
 
 

@@ -9,8 +9,7 @@ observed record therefore recovers the drawn ``T0`` exactly, which is what
 makes every downstream identity checkable without tolerance games.
 
 ``sample_cohort`` walks all subjects at once with ``shift.walk_up_array``;
-``sample_trajectory`` draws one subject with the scalar ``shift.walk_up``,
-the reference the array walk reproduces bit for bit.
+``sample_trajectory`` runs the same walk on one row of uniforms.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .core import (
     Trajectory,
     UndefinedCellError,
 )
-from .shift import ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up, walk_up_array
+from .shift import ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up_array
 
 __all__ = [
     "CovariateLaw",
@@ -248,24 +247,10 @@ class DgpConfig:
         return 1 + 2 * (self.grid.K + 1)
 
 
-def _assemble(cfg: DgpConfig, model: ShiftModel, uniforms) -> Trajectory:
-    """One subject's record from its slice of uniforms, by the scalar walk."""
-    t0 = cfg.baseline.quantile(1.0 - uniforms[0])
-    b = cfg.bin_index(t0)
-
-    def draw(k, lbar, abar):
-        l_k = _rng.categorical(cfg.covariate_law.probs(k, b, lbar, abar), uniforms[1 + 2 * k])
-        a_k = _rng.categorical(cfg.treatment_law.probs(k, lbar + (l_k,), abar), uniforms[2 + 2 * k])
-        return l_k, a_k
-
-    t, lbar, abar = walk_up(model, t0, draw)
-    return Trajectory(lbar, abar, t)
-
-
 def _walk(cfg: DgpConfig, uniforms: np.ndarray):
     """The subjects drawn from the rows of ``uniforms`` by one array walk,
-    as cohort columns: each row gives what :func:`_assemble` gives it.
-    Law rows are looked up once per distinct (history, prognosis bin) and
+    as cohort columns; each row's subject depends on that row alone.  Law
+    rows are looked up once per distinct (history, prognosis bin) and
     (history, ``l_k``) and drawn row-wise."""
     t0 = cfg.baseline.quantile(1.0 - uniforms[:, 0])
     bins = np.searchsorted(np.asarray(cfg.thresholds), t0, side="left")
@@ -282,8 +267,10 @@ def _walk(cfg: DgpConfig, uniforms: np.ndarray):
 
 def sample_trajectory(cfg: DgpConfig, rng: np.random.Generator) -> Trajectory:
     """One subject: draw ``T0``, then walk the visits, inverting one shift map
-    per interval until the candidate event time lands inside the current one."""
-    return _assemble(cfg, cfg.shift_model(), rng.random(cfg.draws_per_subject))
+    per interval until the candidate event time lands inside the current one
+    (:func:`_walk` on one row)."""
+    t, _, l, a = _walk(cfg, rng.random((1, cfg.draws_per_subject)))
+    return Trajectory(l, a, t[0])
 
 
 def sample_cohort(cfg: DgpConfig, n: int, seed: int | None = None) -> Cohort:

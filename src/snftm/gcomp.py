@@ -171,7 +171,7 @@ class SampledSurvival:
 
 
 def _simulate_path(laws: ConditionalLaws, regime: TreatmentRegime, uniforms) -> float:
-    # Not shift.walk_up: this inverts the interval-survival curves and evaluates no shift map.
+    # Not shift.walk_up_array: this inverts the interval-survival curves and evaluates no shift map.
     grid = laws.grid
     start = laws.transition(0, (), ())
     lbar = (_rng.categorical(start, uniforms[0]),)

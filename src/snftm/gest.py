@@ -452,18 +452,27 @@ def sandwich_variance(
     Returns ``(variance_matrix, se_vector)`` on the active components; the
     standard error already includes the 1/n factor.
     """
-    return _sandwich(_GestData(cohort, spec), psi_hat, step)[:2]
+    data = _GestData(cohort, spec)
+    _just_identified(spec)
+    return _sandwich(data, psi_hat, step)[:2]
 
 
-def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
-    """``sandwich_variance`` on built data, and the per-subject estimating function it used."""
-    spec = data.spec
-    active = np.asarray(psi_hat, dtype=float)[list(spec.components)]
+def _just_identified(spec: TreatmentModelSpec) -> int:
+    """The number of free components, which the augmentation columns must match."""
     d = len(spec.components)
     if spec.g.dim != d:
         raise SnftmError(
-            f"just-identification requires {d} augmentation columns, got {spec.g.dim}"
+            f"just-identification requires as many augmentation columns as free components "
+            f"({spec.g.dim} != {d})"
         )
+    return d
+
+
+def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
+    """``sandwich_variance`` on built, just-identified data, and the per-subject
+    estimating function it used."""
+    spec = data.spec
+    active = np.asarray(psi_hat, dtype=float)[list(spec.components)]
     h = _h_matrix(data, spec.embed(active))
     V = h.T @ h / data.n_subjects
     D = _slope(data, active, step)
@@ -543,12 +552,7 @@ def estimate_psi(
     from scipy import optimize  # deferred: g_test needs only scipy.special
 
     data = _GestData(cohort, spec)
-    d = len(spec.components)
-    if spec.g.dim != d:
-        raise SnftmError(
-            f"just-identification requires as many augmentation columns as free components "
-            f"({spec.g.dim} != {d})"
-        )
+    d = _just_identified(spec)
     box = [tuple(map(float, b)) for b in box]
     if len(box) != d:
         raise SnftmError(f"search box must have {d} intervals, got {len(box)}")

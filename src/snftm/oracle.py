@@ -90,7 +90,7 @@ def _mixture_mass(baseline: SurvivalCurve, bin_edges, weights, above: float, upt
     return sum(w * (s[b] - s[b + 1]) for b, w in enumerate(weights) if w > 0.0)
 
 
-def _enumerate_stages(cfg: DgpConfig, regime=None, max_cells=1_000_000):
+def _enumerate_stages(cfg: DgpConfig, regime, max_cells: int):
     """Unroll all positive-probability paths of the world ``cfg``; with ``regime``
     set, treatments follow the regime instead of the treatment law
     (counterfactual world)."""
@@ -217,13 +217,14 @@ class Report:
 
 
 class EnumeratedWorld:
-    """Exact law handle over an enumerated structural config."""
+    """Exact law handle over an enumerated structural config of at most
+    ``max_cells`` history cells."""
 
     def __init__(self, cfg: DgpConfig, max_cells: int = 1_000_000):
         self.cfg = cfg
         self.max_cells = max_cells
         self.root = _Node.empty(cfg)
-        self.stages = _enumerate_stages(cfg, max_cells=max_cells)
+        self.stages = _enumerate_stages(cfg, None, max_cells)
         self.bin_edges = (0.0,) + cfg.thresholds + (math.inf,)
         self._laws = None
         self._regime_memo = (None, None)  # (regime, its stages): a one-entry memo
@@ -372,8 +373,7 @@ class EnumeratedWorld:
         return float(node.pi[b]) * self.cfg.baseline.density(x) * node.scale
 
 
-def enumerate_world(cfg: DgpConfig, max_cells: int = 1_000_000) -> EnumeratedWorld:
-    return EnumeratedWorld(cfg, max_cells=max_cells)
+enumerate_world = EnumeratedWorld  # the constructor under its public name
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ bijection of ``(tau_k, inf)`` onto itself; ``psi = 0`` (or a baseline dose
 
 ``blip_down`` composes the maps innermost-at-death to recover the time a
 subject would have shown with treatment stopped at a given visit;
-``walk_up`` inverts that construction visit by visit, turning a
-never-treated time into the time under histories supplied one visit at a
-time; ``blip_up`` runs it on recorded histories.  ``walk_up_array`` is the
-same walk for many subjects at once, looping over visits instead of
-subjects; it is the sampler behind ``dgp.sample_cohort`` and
-``cfsim.simulate_counterfactual``, and the scalar ``walk_up`` is its
-reference.
+``walk_up_array`` inverts that construction visit by visit, turning
+never-treated times into the times under histories supplied one visit at a
+time, for many subjects at once.  It is the one forward walk: the sampler
+behind ``dgp.sample_cohort``, ``dgp.sample_trajectory`` and
+``cfsim.simulate_counterfactual``, and, on one row, ``blip_up`` of
+recorded histories.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "gamma_deriv",
     "blip_down",
     "blip_up",
-    "walk_up",
     "walk_up_array",
     "in_chunks",
     "per_distinct",
@@ -155,32 +153,6 @@ def blip_down(model: ShiftModel, traj: Trajectory, upto: int = 0) -> float:
     return t
 
 
-def walk_up(model: ShiftModel, t0: float, visit) -> tuple[float, tuple, tuple]:
-    """Walk the visits from a never-treated time ``t0`` to an observed one.
-
-    At each visit ``k`` the caller's ``visit(k, lbar, abar)`` sees the
-    histories through visit ``k - 1`` and returns ``(l_k, a_k)``; the walk
-    appends them and applies the inverse shift map of visit ``k`` to the
-    candidate time.  It stops at the first interval ``(tau_k, tau_{k+1}]``
-    that holds the candidate and returns ``(t, lbar, abar)`` with histories
-    through that visit.  This is the rank-preserving forward step of
-    ``dgp.sample_trajectory`` and :func:`blip_up`, and the scalar reference
-    that :func:`walk_up_array` reproduces.
-    """
-    grid = model.grid
-    lbar: tuple[int, ...] = ()
-    abar: tuple[int, ...] = ()
-    t = t0
-    for k in range(grid.K + 1):
-        l_k, a_k = visit(k, lbar, abar)
-        lbar += (l_k,)
-        abar += (a_k,)
-        t = gamma_inv(model, k, lbar, abar, t)
-        if t <= grid.next_tau(k):
-            return t, lbar, abar
-    raise AssertionError("unreachable: the last interval is unbounded")
-
-
 def per_distinct(f, *columns) -> np.ndarray:
     """``f(*key)`` called once per distinct row of the integer ``columns``
     (in order of first appearance), the results gathered onto every row."""
@@ -189,18 +161,22 @@ def per_distinct(f, *columns) -> np.ndarray:
 
 
 def walk_up_array(model: ShiftModel, t0: np.ndarray, visit):
-    """:func:`walk_up` for many subjects at once, looping over visits only.
+    """Walk the visits from never-treated times ``t0`` to observed ones,
+    for many subjects at once, looping over visits only.
 
     At each visit ``k`` the caller's ``visit(k, rows, hist, prefixes)``
     gets the subjects still walking (``rows``) and the ids of their
     histories through visit ``k - 1`` (``hist``, where
     ``prefixes[h] == (lbar, abar)``), and returns the arrays ``(l_k, a_k)``
-    for those rows.  Histories are interned visit by visit, as
+    for those rows.  The walk appends them and applies the inverse shift
+    map of visit ``k`` (:func:`gamma_inv`) to each candidate time; a subject
+    stops at the first interval ``(tau_k, tau_{k+1}]`` that holds its
+    candidate.  Histories are interned visit by visit, as
     :class:`~snftm.core.VisitIndex` does, so the scale factor is computed
-    once per distinct history with the scalar :meth:`ShiftModel.scale` and
-    every step is bit-identical to :func:`walk_up`.  Returns the settled
-    times and the visits walked as cohort columns ``(t, n_visits, l, a)``,
-    subject-major (see :meth:`~snftm.core.Cohort.from_columns`).
+    once per distinct history with the scalar :meth:`ShiftModel.scale`.
+    Returns the settled times and the visits walked as cohort columns
+    ``(t, n_visits, l, a)``, subject-major (see
+    :meth:`~snftm.core.Cohort.from_columns`).
     """
     grid = model.grid
     t, prefixes, walked = np.array(t0, dtype=float), [((), ())], []
@@ -248,19 +224,19 @@ def in_chunks(walk, uniforms: np.ndarray) -> tuple:
 
 def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
     """Re-apply the treatment effects of recorded histories to a never-treated
-    time ``t0`` (:func:`walk_up`); the histories must reach the visit where
-    the candidate time settles."""
+    time ``t0`` (:func:`walk_up_array` on one row); the histories must reach
+    the visit where the candidate time settles."""
     if not t0 > 0.0:
         raise CurveDomainError(f"baseline time must be positive, got {t0}")
 
-    def recorded(k, _lbar, _abar):
+    def recorded(k, _rows, _hist, _prefixes):
         if k >= len(lbar) or k >= len(abar):
             raise InsufficientHistoryError(
                 f"blip-up of {t0} still past visit {k} but histories end at {min(len(lbar), len(abar))}"
             )
-        return lbar[k], abar[k]
+        return np.array([lbar[k]]), np.array([abar[k]])
 
-    return walk_up(model, t0, recorded)[0]
+    return float(walk_up_array(model, [t0], recorded)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,13 @@ def test_each_command_takes_only_what_it_reads(tmp_path, capsys, small_cohort, c
     assert logged["command"] == command and {"seed", "threads"} & set(logged) == reads
 
 
+def test_exact_gcomp_logs_no_seed(tmp_path, capsys):
+    exact = _COMMANDS["gcomp"][:-2]  # without "--mc", 50
+    assert run_cli("gcomp", *exact, "--out", tmp_path / "g.csv") == 0
+    logged = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert logged["command"] == "gcomp" and logged["mc"] == 0 and "seed" not in logged
+
+
 @pytest.mark.parametrize("command", ["simulate", "gcomp", "cfsim", "verify"])
 def test_threads_is_a_positive_integer(tmp_path, capsys, small_cohort, command):
     argv = _argv(command, tmp_path, small_cohort)

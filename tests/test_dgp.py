@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snftm import dgp, rng
-from snftm.core import CohortFormatError, SurvivalCurve, TimeGrid
+from snftm.core import Cohort, CohortFormatError, SurvivalCurve, TimeGrid
 from snftm.shift import ShiftParams, blip_down
 
 from conftest import make_config
@@ -42,7 +42,7 @@ def test_hand_inversion_example():
     trt = dgp.TreatmentLaw.from_logistic(2, intercept=30.0)  # dose 1 almost surely
     cfg = dgp.DgpConfig(grid, baseline, (), cov, trt, ShiftParams((math.log(0.5), 0.0, 0.0)))
     u_t0 = 1.0 - baseline.eval(0.25)  # quantile(1 - u) = 0.25
-    traj = dgp._assemble(cfg, cfg.shift_model(), [u_t0, 0.5, 0.5, 0.5, 0.5])
+    traj, = Cohort.from_columns(cfg.grid, *dgp._walk(cfg, np.array([[u_t0, 0.5, 0.5, 0.5, 0.5]])))
     assert traj.treatments == (1,)
     assert traj.event_time == 0.5
 

@@ -104,6 +104,18 @@ def test_collinear_augmentation_is_non_identifiable():
         gest.g_test(cohort, spec, (0.3, 0.0, 0.0))
 
 
+def test_over_identified_spec_fails_the_same_way_everywhere():
+    cohort = dgp.sample_cohort(make_config(), 400, seed=3)
+    spec = gest.TreatmentModelSpec(g=gest.GFeature(powers=2))  # 2 columns, 1 free component
+    with pytest.raises(SnftmError) as by_estimate:
+        gest.estimate_psi(cohort, spec, [(-1.0, 1.0)])
+    with pytest.raises(SnftmError) as by_sandwich:
+        gest.sandwich_variance(cohort, spec, (0.0, 0.0, 0.0))
+    assert str(by_estimate.value) == str(by_sandwich.value) == (
+        "just-identification requires as many augmentation columns as free components (2 != 1)"
+    )
+
+
 _EXTREMES = [0.0, 1e-300, -1e-300, 20.0, -20.0, 36.7, -36.7, 709.0, -709.0, 800.0, -800.0]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,26 @@ def test_fit_recovers_truth_within_three_se(rich_config):
     se = np.sqrt(np.diag(fit.psi_cov))
     err = np.abs(np.asarray(fit.model.psi.psi) - np.asarray(RICH_PSI))
     assert np.all(err < 3.0 * se)
+
+
+def test_nonzero_start_also_searches_from_zero(rich_config, monkeypatch):
+    cohort = dgp.sample_cohort(rich_config, 500, seed=21)
+    template = mle.ParametricModel.template(rich_config.grid, (0.0, 1.0, 2.0), (1.5,))
+    template = replace(template, psi=ShiftParams((-0.4, 0.1, 0.2)))
+    staged, searches = mle._staged_nelder_mead, []
+
+    def recording(neg, start, max_evals):
+        searches.append((np.array(start), max_evals, staged(neg, start, max_evals)))
+        return searches[-1][2]
+
+    monkeypatch.setattr(mle, "_staged_nelder_mead", recording)
+    fit = mle.fit(cohort, template)
+    assert [(s.tolist(), n) for s, n, _ in searches] == [
+        ([-0.4, 0.1, 0.2], mle.MAX_EVALS // 2), ([0.0, 0.0, 0.0], mle.MAX_EVALS // 2)
+    ]
+    assert fit.converged
+    best = min((res for *_, res in searches), key=lambda res: res.fun)
+    assert fit.model.psi.psi == tuple(best.x)
 
 
 def test_degenerate_cohort_rejected(rich_config):
