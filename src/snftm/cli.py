@@ -86,10 +86,6 @@ def _pitch_arg(text: str) -> float:
     return _numbers(text, ",", lambda v: len(v) == 1 and v[0] > 0.0, "a positive finite number")[0]
 
 
-def _tol_arg(text: str) -> float:
-    return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 0.0, "a non-negative finite number")[0]
-
-
 def _seed_arg(text: str) -> int:
     return _numbers(text, ",", lambda v: len(v) == 1 and v[0] >= 0, "a non-negative integer", int)[0]
 
@@ -150,7 +146,6 @@ def _cmd_estimate(args) -> int:
         cohort, spec, args.box,
         grid_pitch=args.pitch,
         compute_ci=not args.no_ci,
-        tol_alpha=args.tol,
     )
     _write_json(args.out, {
         "psi_hat": est.psi.tolist(),
@@ -272,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_box_arg, required=True, help="lo:hi[,lo:hi...] search box")
     p.add_argument("--pitch", type=_pitch_arg, default=0.01, help="confidence-grid pitch")
     p.add_argument("--no-ci", action="store_true")
-    p.add_argument(
-        "--tol", type=_tol_arg, default=1e-6,
-        help="largest accepted |augmentation coefficient| at the reported root",
-    )
     out(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -6,8 +6,9 @@ blipped-down event time.  Under the candidate shift parameters being correct,
 the augmented term carries no information, so its coefficient has population
 value zero; tests of that coefficient test the candidate.  The estimate is the
 root of the augmentation score at the treatment fit without augmentation, which
-is where the fitted coefficient crosses zero.  No covariate-transition or
-baseline-survival model is consulted anywhere in this module.
+is where the fitted coefficient crosses zero, so an estimate makes that one
+logistic fit.  No covariate-transition or baseline-survival model is consulted
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -513,7 +514,6 @@ class PsiEstimate:
     psi: np.ndarray
     components: tuple[int, ...]
     roots: tuple[tuple[float, ...], ...]
-    multiple_roots: bool
     se: np.ndarray
     ci_grid: np.ndarray
     ci_mask: np.ndarray
@@ -523,6 +523,10 @@ class PsiEstimate:
     @property
     def active(self) -> np.ndarray:
         return self.psi[list(self.components)]
+
+    @property
+    def multiple_roots(self) -> bool:
+        return len(self.roots) > 1
 
     def ci_interval(self):
         """Convex hull of the accepted grid (1-parameter case)."""
@@ -535,19 +539,20 @@ def estimate_psi(
     spec: TreatmentModelSpec,
     box: Sequence[tuple[float, float]],
     grid_pitch: float = 0.01,
-    tol_alpha: float = 1e-6,
     compute_ci: bool = True,
 ) -> PsiEstimate:
     """Estimate the free shift components as the root of the augmentation
     score at the null treatment fit, which is also the root of the fitted
     augmentation coefficient, with a confidence set by test inversion.
 
-    One free component: bracket scan plus Brent's method.  Several: a root
-    search, with the sandwich's finite-difference slope, from the coarse-grid
-    point of smallest score norm.  All roots in the box are reported; the one
-    with the smallest fitted coefficient is primary.  The null treatment fit is
-    made once; the confidence set, one free component only, is the score test
-    at each point of a grid of at most ``MAX_CI_GRID_POINTS``, with no fits.
+    One free component: bracket scan plus Brent's method.  All roots in the
+    box are reported; when there are several, the one with the smallest
+    ``|score|`` is primary.  Several free components: a root search, with the
+    sandwich's finite-difference slope, from the coarse-grid point of smallest
+    score norm; a search that stalls raises ``ConvergenceError``.  The null
+    treatment fit is the only logistic fit; the confidence set, one free
+    component only, is the score test at each point of a grid of at most
+    ``MAX_CI_GRID_POINTS``.
     """
     from scipy import optimize  # deferred: g_test needs only scipy.special
 
@@ -566,7 +571,6 @@ def estimate_psi(
                 f"give at most {MAX_CI_GRID_POINTS} points; it gives {n_points:.4g}"
             )
 
-    alpha_at = lambda active: _fit_augmented(data, spec.embed(active)).alpha
     if d == 1:
         lo, hi = box[0]
         score = lambda x: _mean_score(data, [x])[0]
@@ -586,13 +590,7 @@ def estimate_psi(
                 f"augmentation score has no sign change on [{lo}, {hi}]: "
                 f"endpoint values {vals[0]:.4g}, {vals[-1]:.4g}"
             )
-        resid = [abs(alpha_at([r])[0]) for r in roots]
-        best = int(np.argmin(resid))
-        if resid[best] > tol_alpha:
-            raise ConvergenceError(
-                f"best root residual {resid[best]:.2e} exceeds {tol_alpha:g}",
-                best=roots[best],
-            )
+        best = int(np.argmin([abs(score(r)) for r in roots])) if len(roots) > 1 else 0
         active_hat = np.array([roots[best]])
         all_roots = tuple((float(r),) for r in roots)
     else:
@@ -603,11 +601,10 @@ def estimate_psi(
         sol = optimize.root(
             lambda x: _mean_score(data, x), start, jac=lambda x: _slope(data, x), tol=1e-12
         )
-        resid = float(np.linalg.norm(alpha_at(sol.x)))
-        if resid > tol_alpha:
+        if not sol.success:
             raise ConvergenceError(
-                f"vector root search stalled at residual {resid:.2e} "
-                f"(tolerance {tol_alpha:g}); the stacked equations may be weakly identified",
+                "vector root search stalled, the stacked equations may be weakly identified: "
+                + " ".join(sol.message.split()),  # hybr's messages hold line breaks
                 best=sol.x,
             )
         active_hat = np.asarray(sol.x)
@@ -628,7 +625,6 @@ def estimate_psi(
         psi=spec.embed(active_hat),
         components=spec.components,
         roots=all_roots,
-        multiple_roots=len(all_roots) > 1,
         se=se,
         ci_grid=ci_grid,
         ci_mask=mask,

@@ -584,14 +584,12 @@ def verify_null_equivalence(world: EnumeratedWorld, tol: float = 1e-12, witness_
     return Report("null-equivalence[witness]", dev > witness_threshold, dev, details, skipped)
 
 
-def run_suite(world: EnumeratedWorld, suite: str = "all", regimes=None) -> dict:
-    """Run the requested verification suites; returns name -> report dict."""
+def run_suite(world: EnumeratedWorld, suite: str = "all") -> dict:
+    """Run the requested verification suites; returns name -> report dict.
+    The gcomp suite checks up to 128 regimes of :func:`all_regimes`."""
     out: dict = {}
     if suite in ("gcomp", "all"):
-        if regimes is None:
-            regimes, _ = all_regimes(
-                world.covariate_levels, world.cfg.treatment_law.levels, cap=128
-            )
+        regimes, _ = all_regimes(world.covariate_levels, world.cfg.treatment_law.levels, cap=128)
         for g in regimes:
             rep = verify_gcomputation(world, g)
             out[rep.name] = rep

@@ -31,6 +31,7 @@ import numpy as np
 
 from .core import (
     Cohort,
+    CohortFormatError,
     CurveDomainError,
     GridBoundsError,
     InsufficientHistoryError,
@@ -229,12 +230,17 @@ def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
     if not t0 > 0.0:
         raise CurveDomainError(f"baseline time must be positive, got {t0}")
 
+    def code(k, v):
+        if not (v >= 0 and float(v).is_integer()):
+            raise CohortFormatError(f"history code at visit {k} must be a non-negative integer, got {v!r}")
+        return int(v)
+
     def recorded(k, _rows, _hist, _prefixes):
         if k >= len(lbar) or k >= len(abar):
             raise InsufficientHistoryError(
                 f"blip-up of {t0} still past visit {k} but histories end at {min(len(lbar), len(abar))}"
             )
-        return np.array([lbar[k]]), np.array([abar[k]])
+        return np.array([code(k, lbar[k])]), np.array([code(k, abar[k])])
 
     return float(walk_up_array(model, [t0], recorded)[0][0])
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snftm import dgp
-from snftm.core import CurveDomainError, InsufficientHistoryError, TimeGrid, Trajectory
+from snftm.core import (
+    CohortFormatError,
+    CurveDomainError,
+    InsufficientHistoryError,
+    TimeGrid,
+    Trajectory,
+)
 from snftm.shift import (
     BlipTable,
     ShiftModel,
@@ -129,6 +135,16 @@ class TestBlipUp:
         model = ShiftModel(ShiftParams((2.0, 0.0, 0.0)), GRID)
         with pytest.raises(InsufficientHistoryError):
             blip_up(model, 5.0, (0,), (0,))  # needs visits past 0
+
+    def test_integral_float_codes(self):
+        model = ShiftModel(ShiftParams((0.3, 0.1, 0.2)), TimeGrid((0.0, 1.0)))
+        assert blip_up(model, 0.5, (1.0,), (1.0,)) == blip_up(model, 0.5, (1,), (1,)) == 0.3032653298563167
+
+    @pytest.mark.parametrize("lbar, abar, bad", [((0, 1.5), (0, 1), "1.5"), ((0, 0), (0, -1), "-1")])
+    def test_codes_are_non_negative_integers(self, lbar, abar, bad):
+        model = ShiftModel(ShiftParams((0.0, 0.0, 0.0)), GRID)
+        with pytest.raises(CohortFormatError, match=f"visit 1 .* got {bad}$"):
+            blip_up(model, 1.5, lbar, abar)
 
     @given(
         psi=st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))),
