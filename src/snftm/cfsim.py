@@ -75,7 +75,7 @@ class FittedWorld:
         blip = BlipTable.from_cohort(cohort)
         t0s = blip.t0(psi.as_array())
         bins = np.searchsorted(np.asarray(thresholds), t0s, side="left")
-        frequencies = cohort.index.cell_frequencies(bins, len(thresholds) + 1)
+        frequencies = cohort.index.cell_frequencies(cohort, bins, len(thresholds) + 1)
         laws = {(k, b, lbar, abar): law for ((k, lbar, abar), b), law in frequencies.items()}
         return cls(
             grid=cohort.grid,

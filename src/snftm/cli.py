@@ -110,7 +110,8 @@ def _load_laws(path):
         cohort, _meta = io_mod.read_cohort(path)
         return gcomp_mod.estimate_laws(cohort), cohort.grid
     cfg = io_mod.load_dgp_config(path)
-    return dgp_mod.true_conditional_laws(cfg), cfg.grid
+    # The exact laws, by closed-form enumeration of at most 10 million history cells.
+    return oracle_mod.enumerate_world(cfg, max_cells=10_000_000).conditional_laws(), cfg.grid
 
 
 def _cmd_gcomp(args) -> int:

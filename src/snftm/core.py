@@ -23,7 +23,6 @@ __all__ = [
     "GridBoundsError",
     "CurveDomainError",
     "UndefinedCellError",
-    "UnsupportedLawError",
     "InstanceTooLargeError",
     "InsufficientHistoryError",
     "ConvergenceError",
@@ -38,6 +37,7 @@ __all__ = [
     "Trajectory",
     "Cohort",
     "VisitIndex",
+    "first_seen",
     "TreatmentRegime",
     "apply_regime",
     "require_visits",
@@ -63,10 +63,6 @@ class CurveDomainError(SnftmError):
 
 class UndefinedCellError(SnftmError):
     """A history cell outside the support of the conditional laws was hit."""
-
-
-class UnsupportedLawError(SnftmError):
-    """The supplied law handle cannot produce exact probabilities."""
 
 
 class InstanceTooLargeError(SnftmError):
@@ -304,21 +300,6 @@ class SurvivalCurve:
             total += head - tail
         return total
 
-    def mean(self) -> float:
-        """Expected value ``E[T]``; ``inf`` when a zero-rate tail never decays."""
-        total = self.support_start
-        for lo, hi, r, cum in zip(self.bounds, self.bounds[1:] + (math.inf,), self.rates, self._cumhaz):
-            s_j, width = math.exp(-cum), hi - lo
-            if r == 0.0:
-                if math.isinf(width):
-                    return math.inf
-                total += s_j * width
-            elif math.isinf(width):
-                total += s_j / r
-            else:
-                total += s_j * (1.0 - math.exp(-r * width)) / r
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Trajectories and cohorts
@@ -437,26 +418,35 @@ class Cohort:
         return VisitIndex(self)
 
 
-class VisitIndex:
-    """A cohort's person-visit columns plus one interned table of history
-    prefixes.
+def first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix (or entries of a vector) in
+    order of first appearance, and each row's position in that list."""
+    rows = x[:, None] if x.ndim == 1 else x
+    order = np.lexsort(rows.T[::-1])  # stable: each run of equal rows starts at its first
+    ranked = rows[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = order[new]
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.argsort(np.argsort(starts))[np.cumsum(new) - 1]
+    return x[np.sort(starts)], inverse
 
-    ``subject``, ``k``, ``l``, ``a``, ``last`` and ``event_times`` are the
-    :class:`Cohort`'s own read-only arrays, shared, not copied.
+
+class VisitIndex:
+    """A cohort's history cells, interned once into one table of prefixes.
+
     ``prefixes[j]`` is a history ``(m, lbar, abar)`` of the first ``m``
     covariates and treatments of some subject, the empty one first.  Each
-    row carries two ids into it: ``cell``, the history before visit ``k``
-    that conditions ``L_k``, and ``through``, the history through visit
-    ``k`` that keys interval ``k``.  ``covariate_levels[k]`` and
-    ``treatment_levels[k]`` are one past the largest code at visit ``k``
-    (0 for a visit nobody reaches).
+    of the cohort's person-visit rows carries two ids into it: ``cell``, the
+    history before visit ``k`` that conditions ``L_k``, and ``through``, the
+    history through visit ``k`` that keys interval ``k``.
+    ``covariate_levels[k]`` and ``treatment_levels[k]`` are one past the
+    largest code at visit ``k`` (0 for a visit nobody reaches).  The rows'
+    own columns stay on the :class:`Cohort`.
     """
 
     def __init__(self, cohort: Cohort):
-        K = cohort.grid.K
-        self.subject, self.k, self.l, self.a = cohort.subject, cohort.k, cohort.l, cohort.a
-        self.last, self.event_times = cohort.last, cohort.event_times
-        k, l, a = self.k, self.l, self.a
+        K, k, l, a = cohort.grid.K, cohort.k, cohort.l, cohort.a
         self.covariate_levels = tuple(int(l[k == m].max(initial=-1)) + 1 for m in range(K + 1))
         self.treatment_levels = tuple(int(a[k == m].max(initial=-1)) + 1 for m in range(K + 1))
         # Intern visit by visit: the history through visit m is the cell
@@ -468,36 +458,22 @@ class VisitIndex:
             at = np.flatnonzero(k == m)
             if m:
                 self.cell[at] = self.through[at - 1]
-            keys, inverse = self.first_seen(np.column_stack([self.cell[at], l[at], a[at]]))
+            keys, inverse = first_seen(np.column_stack([self.cell[at], l[at], a[at]]))
             self.through[at] = len(prefixes) + inverse
             prefixes += [(m + 1, prefixes[c][1] + (lm,), prefixes[c][2] + (am,))
                          for c, lm, am in keys.tolist()]
         self.prefixes = tuple(prefixes)
         self.cell.flags.writeable = self.through.flags.writeable = False
 
-    @staticmethod
-    def first_seen(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of an integer matrix (or entries of a vector) in
-        order of first appearance, and each row's position in that list."""
-        rows = x[:, None] if x.ndim == 1 else x
-        order = np.lexsort(rows.T[::-1])  # stable: each run of equal rows starts at its first
-        ranked = rows[order]
-        new = np.ones(len(x), dtype=bool)
-        new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        starts = order[new]
-        inverse = np.empty(len(x), dtype=np.intp)
-        inverse[order] = np.argsort(np.argsort(starts))[np.cumsum(new) - 1]
-        return x[np.sort(starts)], inverse
-
-    def cell_frequencies(self, strata: np.ndarray | None = None, n_strata: int = 1) -> dict:
-        """Frequencies of ``L_k`` in each cell, ``{(cell, stratum): law}`` with
-        the cell's prefix tuple, in order of first appearance; ``strata``
-        optionally splits the cells by a per-subject stratum in
-        ``0 .. n_strata - 1``."""
-        group = self.cell * n_strata + (0 if strata is None else np.asarray(strata)[self.subject])
-        groups, row_group = self.first_seen(group)
+    def cell_frequencies(self, cohort: Cohort, strata: np.ndarray | None = None, n_strata: int = 1) -> dict:
+        """Frequencies of ``L_k`` in each cell of ``cohort``, the cohort this
+        index interns: ``{(cell, stratum): law}`` with the cell's prefix
+        tuple, in order of first appearance; ``strata`` optionally splits the
+        cells by a per-subject stratum in ``0 .. n_strata - 1``."""
+        group = self.cell * n_strata + (0 if strata is None else np.asarray(strata)[cohort.subject])
+        groups, row_group = first_seen(group)
         width = max(self.covariate_levels)
-        counts = np.bincount(row_group * width + self.l, minlength=len(groups) * width).reshape(-1, width)
+        counts = np.bincount(row_group * width + cohort.l, minlength=len(groups) * width).reshape(-1, width)
         laws = {}
         for g, freq in zip(groups.tolist(), counts / counts.sum(axis=1, keepdims=True)):
             cell = self.prefixes[g // n_strata]
@@ -581,25 +557,19 @@ def require_visits(regime: TreatmentRegime, n_visits: int) -> None:
         raise GridBoundsError(f"world of {n_visits} visits exceeds the regime's {len(regime.rules)} visits")
 
 
-def is_evaluable(regime: TreatmentRegime, law) -> bool:
+def is_evaluable(regime: TreatmentRegime, world) -> bool:
     """Whether every history that followed the regime can keep following it.
 
-    ``law`` must expose exact probabilities
-    ``P(Lbar_k = lbar, Abar = abar, T > tau_k)`` through a
-    ``history_prob(lbar, abar)`` method (``abar`` of length ``k`` or ``k+1``)
-    plus ``grid`` and ``covariate_levels``.
+    ``world`` is an :class:`~snftm.oracle.EnumeratedWorld`, whose
+    ``history_prob(lbar, abar)`` gives the exact
+    ``P(Lbar_k = lbar, Abar = abar, T > tau_k)`` for ``abar`` of length
+    ``k`` or ``k + 1``.
     """
-    for attr in ("history_prob", "grid", "covariate_levels"):
-        if not hasattr(law, attr):
-            raise UnsupportedLawError(
-                f"law handle {type(law).__name__} cannot produce exact probabilities"
-            )
-    K = law.grid.K
-    levels = law.covariate_levels
-    for k in range(K + 1):
+    levels = world.covariate_levels
+    for k in range(world.grid.K + 1):
         for lbar in itertools.product(*(range(levels[m]) for m in range(k + 1))):
             abar = apply_regime(regime, lbar)
-            if law.history_prob(lbar, abar[:-1]) > 0.0 and law.history_prob(lbar, abar) <= 0.0:
+            if world.history_prob(lbar, abar[:-1]) > 0.0 and world.history_prob(lbar, abar) <= 0.0:
                 return False
     return True
 

@@ -39,7 +39,6 @@ __all__ = [
     "DgpConfig",
     "sample_trajectory",
     "sample_cohort",
-    "true_conditional_laws",
 ]
 
 
@@ -239,8 +238,8 @@ class DgpConfig:
     def bin_index(self, t0: float) -> int:
         return bisect.bisect_left(self.thresholds, t0)
 
-    def shift_model(self, psi: ShiftParams | None = None) -> ShiftModel:
-        return ShiftModel(psi if psi is not None else self.psi0, self.grid)
+    def shift_model(self) -> ShiftModel:
+        return ShiftModel(self.psi0, self.grid)
 
     @property
     def draws_per_subject(self) -> int:
@@ -285,11 +284,3 @@ def sample_cohort(cfg: DgpConfig, n: int, seed: int | None = None) -> Cohort:
     seed = cfg.seed if seed is None else seed
     uniforms = _rng.stream(seed, "dgp").random((n, cfg.draws_per_subject))
     return Cohort.from_columns(cfg.grid, *in_chunks(lambda u: _walk(cfg, u), uniforms))
-
-
-def true_conditional_laws(cfg: DgpConfig):
-    """The exact observed-data conditional laws implied by the structural config,
-    by closed-form enumeration (no sampling) of at most 10 million history cells."""
-    from . import oracle  # deferred: oracle builds on this module's types
-
-    return oracle.enumerate_world(cfg, max_cells=10_000_000).conditional_laws()

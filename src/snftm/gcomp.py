@@ -24,6 +24,7 @@ from .core import (
     TreatmentRegime,
     UndefinedCellError,
     apply_regime,
+    first_seen,
 )
 
 __all__ = [
@@ -129,16 +130,16 @@ def estimate_laws(cohort: Cohort) -> ConditionalLaws:
     if len(cohort) == 0:
         raise CohortFormatError("cannot estimate laws from an empty cohort")
     grid = cohort.grid
-    ix = cohort.index
-    transitions = {cell: law for (cell, _), law in ix.cell_frequencies().items()}
+    ix, k = cohort.index, cohort.k
+    transitions = {cell: law for (cell, _), law in ix.cell_frequencies(cohort).items()}
 
     # Interval k of a subject is keyed by its history through visit k; the
     # sums run over the rows in subject-major order.
-    histories, row = ix.first_seen(ix.through)
+    histories, row = first_seen(ix.through)
     taus = np.asarray(grid.taus)
-    end = np.append(taus[1:], np.inf)[ix.k]
-    t = ix.event_times[ix.subject]
-    persontime = np.bincount(row, weights=np.minimum(t, end) - taus[ix.k], minlength=len(histories))
+    end = np.append(taus[1:], np.inf)[k]
+    t = cohort.event_times[cohort.subject]
+    persontime = np.bincount(row, weights=np.minimum(t, end) - taus[k], minlength=len(histories))
     events = np.bincount(row, weights=t <= end, minlength=len(histories))
     curves = {
         ix.prefixes[j]: SurvivalCurve((grid.taus[ix.prefixes[j][0] - 1],), (e / pt,))

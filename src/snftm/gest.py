@@ -196,20 +196,20 @@ class _GestData:
 
     def __init__(self, cohort: Cohort, spec: TreatmentModelSpec):
         self.spec = spec
-        ix = cohort.index
-        if np.any(ix.a > 1):
+        k, l, a = cohort.k, cohort.l, cohort.a
+        if np.any(a > 1):
             raise SnftmError(
                 "G-estimation handles binary dosing only; multi-valued treatments are out of scope"
             )
-        lag = lambda col: np.where(ix.k > 0, np.roll(col, 1), 0)
-        columns = {"intercept": 1.0, "l": ix.l, "l_prev": lag(ix.l), "a_prev": lag(ix.a), "k": ix.k}
-        self.F = np.empty((len(ix.k), len(spec.f_terms)))
+        lag = lambda col: np.where(k > 0, np.roll(col, 1), 0)
+        columns = {"intercept": 1.0, "l": l, "l_prev": lag(l), "a_prev": lag(a), "k": k}
+        self.F = np.empty((len(k), len(spec.f_terms)))
         for j, term in enumerate(spec.f_terms):
             self.F[:, j] = columns[term]
-        self.y = ix.a.astype(float)
-        self.row_subject = ix.subject
+        self.y = a.astype(float)
+        self.row_subject = cohort.subject
         self.n_subjects = len(cohort)
-        self.event_times = ix.event_times
+        self.event_times = cohort.event_times
         self._cohort = cohort
         self._blip: BlipTable | None = None
 

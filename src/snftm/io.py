@@ -385,16 +385,6 @@ def load_regime(path, n_visits: int) -> TreatmentRegime:
     return regime_from_dict(_load_json(path), n_visits)
 
 
-def _knots_from_list(raw) -> tuple[float, ...]:
-    try:
-        knots = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise CohortFormatError(f"g.knots must be a list of numbers, got {raw!r}") from None
-    if any(not (math.isfinite(k) and k > 0.0) for k in knots) or not _increasing(knots):
-        raise CohortFormatError(f"g.knots must be positive and strictly increasing, got {list(knots)}")
-    return knots
-
-
 def _known_keys(d, allowed: tuple[str, ...], what: str, required: tuple[str, ...] = ()) -> dict:
     if not isinstance(d, dict):
         raise CohortFormatError(f"{what} must be a JSON object, got {d!r}")
@@ -418,7 +408,7 @@ def _field(d: dict, name: str, where, default, ok, what: str):
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     """The treatment spec of ``d``.  ``psi_dim``, which older files carry,
     is accepted only as the model's ``PSI_DIM``."""
-    from .gest import GFeature, TreatmentModelSpec
+    from .gest import _F_TERMS, GFeature, TreatmentModelSpec
 
     what, where_g = "treatment spec", "treatment spec 'g'"
     _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
@@ -426,18 +416,25 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
     names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
     f_terms = _field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")
-    _require(len(f_terms) > 0, what, "f_terms", "a non-empty list", f_terms)
+    _require(len(f_terms) > 0 and set(f_terms) <= set(_F_TERMS), what, "f_terms",
+             f"a non-empty list of terms from {list(_F_TERMS)}", f_terms)
     log = _field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false")
     clip = None if g.get("clip") is None else _list_field(g, "clip", where_g, 2)
     _require(clip is None or clip[0] < clip[1] and (clip[1] > 0.0 or not log), where_g, "clip",
              "[lo, hi] with lo < hi, and hi > 0 under log", clip)
     powers = _field(g, "powers", where_g, 1, _is_count, "a non-negative integer")
     _require(powers >= 1, where_g, "powers", "at least 1", powers)
+    knots = [] if g.get("knots") is None else _list_field(g, "knots", where_g)
+    _require(all(k > 0.0 for k in knots) and _increasing(knots), where_g, "knots",
+             "positive and strictly increasing", knots)
+    _require(powers == 1 or not knots, where_g, "powers", "1 when knots are given (knots set the columns)", powers)
+    components = _list_field(d, "components", what, ints=True) if "components" in d else [0]
+    _require(len(set(components)) == len(components) and all(c < PSI_DIM for c in components), what,
+             "components", f"distinct indices below {PSI_DIM}", components)
     return TreatmentModelSpec(
         f_terms=tuple(f_terms),
-        g=GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers,
-                   knots=_knots_from_list(g.get("knots") or ())),
-        components=tuple(_list_field(d, "components", what, ints=True)) if "components" in d else (0,),
+        g=GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers, knots=tuple(knots)),
+        components=tuple(components),
     )
 
 

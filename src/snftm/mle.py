@@ -30,6 +30,7 @@ from .core import (
     SurvivalCurve,
     TimeGrid,
     Trajectory,
+    first_seen,
 )
 from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, gamma_deriv
 
@@ -117,10 +118,10 @@ class _ProfileTables:
         self.n = len(cohort)
         ix = cohort.index
         # Cells in order of first appearance: ``profile`` sums over them in that order.
-        cells, self.row_cell = ix.first_seen(ix.cell)
+        cells, self.row_cell = first_seen(ix.cell)
         self.cells = [ix.prefixes[c] for c in cells.tolist()]
-        self.row_level = ix.l
-        self.row_subject = ix.subject
+        self.row_level = cohort.l
+        self.row_subject = cohort.subject
         self.max_level = max(1, *ix.covariate_levels)
         self.n_bins = len(model.bins) + 1
 
@@ -315,9 +316,8 @@ def fit(cohort: Cohort, init: ParametricModel) -> MleFit:
     grad, info = _observed_information(neg, psi_hat)
     psi_cov = np.linalg.inv(info)
     grad_norm = float(np.max(np.abs(grad))) / tables.n
-    ll, rates, grouped = tables.profile(psi_hat)
-    fitted = _finalize_model(init, tables, psi_hat, rates, grouped)
-    result = MleFit(fitted, ll, info, psi_cov, grad_norm, bool(best.success), evals)
+    result = replace(_pinned_fit(tables, init, psi_hat), information=info, psi_cov=psi_cov,
+                     grad_norm=grad_norm, converged=bool(best.success), n_evals=evals)
     if not best.success:
         raise ConvergenceError(
             f"profile search exhausted its budget of {MAX_EVALS} evaluations",
@@ -343,13 +343,12 @@ class MleTestReport:
             "df", "lr", "lr_p", "wald", "wald_p", "score", "score_p", "loglik_full", "loglik_null")}
 
 
-def test_null(cohort: Cohort, fitted: MleFit, restricted: MleFit | None = None) -> MleTestReport:
+def test_null(cohort: Cohort, fitted: MleFit) -> MleTestReport:
     """Wald, score and likelihood-ratio tests of "no treatment effect"
     (shift parameters all zero) against the fitted model."""
     d = len(fitted.model.psi.psi)
     tables = _ProfileTables(cohort, fitted.model)
-    if restricted is None:
-        restricted = _pinned_fit(tables, fitted.model, np.zeros(d))
+    restricted = _pinned_fit(tables, fitted.model, np.zeros(d))
     lr = 2.0 * (fitted.loglik - restricted.loglik)
     if lr < -1e-8:
         raise ConvergenceError(

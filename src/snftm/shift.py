@@ -37,7 +37,7 @@ from .core import (
     InsufficientHistoryError,
     TimeGrid,
     Trajectory,
-    VisitIndex,
+    first_seen,
 )
 
 __all__ = [
@@ -157,7 +157,7 @@ def blip_down(model: ShiftModel, traj: Trajectory, upto: int = 0) -> float:
 def per_distinct(f, *columns) -> np.ndarray:
     """``f(*key)`` called once per distinct row of the integer ``columns``
     (in order of first appearance), the results gathered onto every row."""
-    keys, inverse = VisitIndex.first_seen(np.column_stack(columns))
+    keys, inverse = first_seen(np.column_stack(columns))
     return np.array([f(*key) for key in keys.tolist()])[inverse]
 
 
@@ -188,7 +188,7 @@ def walk_up_array(model: ShiftModel, t0: np.ndarray, visit):
         v = t[rows]
         if not np.all(v > tau_k):
             raise CurveDomainError(f"shift at visit {k} needs t > {tau_k}, got {v[~(v > tau_k)][0]}")
-        keys, inverse = VisitIndex.first_seen(np.column_stack([hist, l_k, a_k]))
+        keys, inverse = first_seen(np.column_stack([hist, l_k, a_k]))
         new = [(prefixes[h][0] + (lk,), prefixes[h][1] + (ak,)) for h, lk, ak in keys.tolist()]
         s = np.array([model.scale(k, lbar, abar) for lbar, abar in new])[inverse]
         hist = len(prefixes) + inverse
@@ -253,10 +253,10 @@ def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
 class BlipTable:
     """Per-visit feature rows for a cohort, for fast blip-down at many psi.
 
-    One row per (subject, visit) pair, ordered by subject: the rows of the
-    cohort's shared :class:`~snftm.core.VisitIndex`.  :func:`default_features`
-    is called once per distinct history through a visit and gathered onto
-    the rows.  Because every shift map except the innermost acts past its own
+    One row per (subject, visit) pair, ordered by subject: the cohort's
+    person-visit rows.  :func:`default_features` is called once per
+    interned history through a visit (``cohort.index.prefixes``) and
+    gathered onto the rows by their ``through`` ids.  Because every shift map except the innermost acts past its own
     breakpoint, the blipped-down time is affine in the per-row scale factors:
 
         t0(psi) = tau_p + (T - tau_p) * s_p + sum_{m<p} delta_m * (s_m - 1).
@@ -272,20 +272,20 @@ class BlipTable:
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "BlipTable":
-        ix = cohort.index
+        ix, k, last, subject = cohort.index, cohort.k, cohort.last, cohort.subject
         # Every prefix but the empty one is the history through some visit.
         table = np.array([default_features(m - 1, lb, ab) for m, lb, ab in ix.prefixes[1:]])
         row_features = table[ix.through - 1]
         taus = np.asarray(cohort.grid.taus)
-        delta = np.append(np.diff(taus), math.inf)[ix.k]
+        delta = np.append(np.diff(taus), math.inf)[k]
         return cls(
             n_subjects=len(cohort),
-            row_subject=ix.subject,
+            row_subject=subject,
             row_features=row_features,
-            row_c1=np.where(ix.last, ix.event_times[ix.subject] - taus[ix.k], delta),
-            row_c0=np.where(ix.last, 0.0, -delta),
-            base=taus[ix.k[ix.last]],
-            terminal_features=row_features[ix.last],
+            row_c1=np.where(last, cohort.event_times[subject] - taus[k], delta),
+            row_c0=np.where(last, 0.0, -delta),
+            base=taus[k[last]],
+            terminal_features=row_features[last],
         )
 
     def t0(self, psi: np.ndarray) -> np.ndarray:

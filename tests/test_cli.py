@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snftm import io
+from snftm import io, oracle
 from snftm.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -391,6 +391,20 @@ def test_exact_gcomp_logs_no_seed(tmp_path, capsys):
     assert run_cli("gcomp", *exact, "--out", tmp_path / "g.csv") == 0
     logged = json.loads(capsys.readouterr().err.splitlines()[0])
     assert logged["command"] == "gcomp" and logged["mc"] == 0 and "seed" not in logged
+
+
+def test_exact_gcomp_enumerates_at_most_ten_million_cells(tmp_path, monkeypatch):
+    caps = []
+    original = oracle.EnumeratedWorld.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        caps.append(self.max_cells)
+
+    monkeypatch.setattr(oracle.EnumeratedWorld, "__init__", recording)
+    exact = _COMMANDS["gcomp"][:-2]  # without "--mc", 50
+    assert run_cli("gcomp", *exact, "--out", tmp_path / "g.csv") == 0
+    assert caps == [10_000_000]
 
 
 @pytest.mark.parametrize("command", ["simulate", "gcomp", "cfsim", "verify"])

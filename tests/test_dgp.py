@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snftm import dgp, rng
+from snftm import dgp, oracle, rng
 from snftm.core import Cohort, CohortFormatError, SurvivalCurve, TimeGrid
 from snftm.shift import ShiftParams, blip_down
 
@@ -116,7 +116,7 @@ def test_probability_vectors_validated():
 class TestTrueConditionalLaws:
     def test_no_prognosis_dependence_returns_configured_vectors(self):
         cfg = make_config(bin_coef=0.0)
-        laws = dgp.true_conditional_laws(cfg)
+        laws = oracle.enumerate_world(cfg).conditional_laws()
         expect0 = cfg.covariate_law.probs(0, 0, (), ())
         np.testing.assert_allclose(laws.transition(0, (), ()), expect0, rtol=1e-13)
         expect1 = cfg.covariate_law.probs(1, 0, (1,), (1,))
@@ -124,14 +124,14 @@ class TestTrueConditionalLaws:
 
     def test_null_params_recover_renormalized_baseline(self):
         cfg = make_config(psi0=(0.0, 0.0, 0.0), bin_coef=0.0)
-        laws = dgp.true_conditional_laws(cfg)
+        laws = oracle.enumerate_world(cfg).conditional_laws()
         tail = laws.survival(2, (1, 0), (1, 1))
         conditional = cfg.baseline.conditional_from(1.0)
         for t in (1.1, 1.6, 2.4, 5.0):
             assert tail.eval(t) == pytest.approx(conditional.eval(t), rel=1e-12)
 
     def test_monte_carlo_cross_check(self, rich_config, big_cohort):
-        laws = dgp.true_conditional_laws(rich_config)
+        laws = oracle.enumerate_world(rich_config).conditional_laws()
         # transition cells: empirical frequency within 4 binomial SEs
         for cell in (((), ()), (((1,), (1,))), (((0,), (1,)))):
             lbar, abar = cell

@@ -69,6 +69,12 @@ def test_null_test_never_touches_shift_maps(monkeypatch):
         gest.g_test(cohort, SPEC, (0.2, 0.0, 0.0))
 
 
+def test_null_test_interns_no_histories():
+    cohort = dgp.sample_cohort(make_config(), 1500, seed=4)
+    gest.g_test(cohort, SPEC)
+    assert "index" not in vars(cohort)
+
+
 def test_multivalued_treatment_out_of_scope():
     grid = TimeGrid((0.0, 1.0))
     cohort = Cohort((Trajectory((0,), (2,), 0.5), Trajectory((1,), (0,), 0.4)), grid)

@@ -274,30 +274,30 @@ def test_index_rows_and_prefixes(cohort):
     ix = cohort.index
     assert len(set(ix.prefixes)) == len(ix.prefixes) and ix.prefixes[0] == (0, (), ())
     rows = [(i, k) for i, traj in enumerate(cohort) for k in range(traj.n_visits)]
-    assert list(zip(ix.subject.tolist(), ix.k.tolist())) == rows
+    assert list(zip(cohort.subject.tolist(), cohort.k.tolist())) == rows
     for r, (i, k) in enumerate(rows):
         traj = cohort.subjects[i]
-        assert (ix.l[r], ix.a[r]) == (traj.covariates[k], traj.treatments[k])
-        assert ix.last[r] == (k == traj.n_visits - 1)
+        assert (cohort.l[r], cohort.a[r]) == (traj.covariates[k], traj.treatments[k])
+        assert cohort.last[r] == (k == traj.n_visits - 1)
         assert ix.prefixes[ix.cell[r]] == (k, traj.covariates[:k], traj.treatments[:k])
         assert ix.prefixes[ix.through[r]] == (k + 1, traj.covariates[: k + 1], traj.treatments[: k + 1])
     for m in range(cohort.grid.K + 1):
         reached = [t for t in cohort if t.n_visits > m]
         assert ix.covariate_levels[m] == max((t.covariates[m] + 1 for t in reached), default=0)
         assert ix.treatment_levels[m] == max((t.treatments[m] + 1 for t in reached), default=0)
-    assert np.array_equal(ix.event_times, [t.event_time for t in cohort])
+    assert np.array_equal(cohort.event_times, [t.event_time for t in cohort])
     with pytest.raises(ValueError):
-        ix.l[0] = 7
+        cohort.l[0] = 7
 
 
 def test_first_seen_orders_by_first_appearance():
-    values, position = core.VisitIndex.first_seen(np.array([5, 3, 5, 9, 3, 1]))
+    values, position = core.first_seen(np.array([5, 3, 5, 9, 3, 1]))
     assert values.tolist() == [5, 3, 9, 1]
     assert position.tolist() == [0, 1, 0, 2, 1, 3]
-    rows, position = core.VisitIndex.first_seen(np.array([[2, 1], [0, 4], [2, 1], [0, 3]]))
+    rows, position = core.first_seen(np.array([[2, 1], [0, 4], [2, 1], [0, 3]]))
     assert rows.tolist() == [[2, 1], [0, 4], [0, 3]]
     assert position.tolist() == [0, 1, 0, 2]
-    empty, position = core.VisitIndex.first_seen(np.zeros((0, 3), dtype=np.int64))
+    empty, position = core.first_seen(np.zeros((0, 3), dtype=np.int64))
     assert empty.shape == (0, 3) and position.shape == (0,)
 
 
@@ -362,7 +362,8 @@ def from_columns(grid, recs):
                                list(chain(cov for cov, _, _ in recs)), list(chain(trt for _, trt, _ in recs)))
 
 
-INDEX_ARRAYS = ("subject", "k", "l", "a", "last", "event_times", "cell", "through")
+COLUMNS = ("subject", "k", "l", "a", "last", "event_times")
+INDEX_ARRAYS = ("cell", "through")
 
 
 @given(data=records())
@@ -374,8 +375,9 @@ def test_trajectory_and_column_constructors_agree(data):
     assert by_records.subjects == subjects and by_columns.subjects == subjects
     assert by_records == by_columns and len(by_columns) == len(subjects)
     a, b = by_records.index, by_columns.index
-    for name in INDEX_ARRAYS:
-        got, want = getattr(b, name), getattr(a, name)
+    pairs = [(by_columns, by_records, name) for name in COLUMNS] + [(b, a, name) for name in INDEX_ARRAYS]
+    for new, old, name in pairs:
+        got, want = getattr(new, name), getattr(old, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert not got.flags.writeable
     assert (a.prefixes, a.covariate_levels, a.treatment_levels) == (b.prefixes, b.covariate_levels, b.treatment_levels)

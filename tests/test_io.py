@@ -210,6 +210,12 @@ def test_table_law_entries_are_checked(entry):
         ({"g": {"clip": [0.0, 0.0], "log": True}}, "field 'clip' must be"),
         ({"g": {"clip": [-1.0, -0.5], "log": True}}, "field 'clip' must be"),
         ({"g": {"powers": 0}}, "field 'powers' must be at least 1"),
+        ({"g": {"knots": ["1.2"]}}, "field 'knots' must be a list of finite numbers"),
+        ({"g": {"knots": [True, 2]}}, "field 'knots' must be a list of finite numbers"),
+        ({"g": {"powers": 3, "knots": [1.0]}}, "field 'powers' must be 1 when knots are given"),
+        ({"components": [5]}, "field 'components' must be distinct indices below 3"),
+        ({"components": [0, 0]}, "field 'components' must be distinct indices below 3"),
+        ({"f_terms": ["bogus"]}, "field 'f_terms' must be a non-empty list of terms from"),
     ],
 )
 def test_treatment_spec_fields_are_typed(spec, message):
@@ -246,17 +252,19 @@ def test_typed_fields_keep_their_defaults():
 @st.composite
 def treatment_specs(draw):
     """Specs the reader accepts: at least one history term and one power,
-    and a clip ``lo < hi`` with ``hi > 0`` under ``log``."""
+    more than one power only without knots, and a clip ``lo < hi`` with
+    ``hi > 0`` under ``log``."""
     finite = st.floats(-1e6, 1e6)
     log = draw(st.booleans())
     clip = st.tuples(finite, finite).map(sorted).map(tuple).filter(lambda c: c[0] < c[1] and (c[1] > 0.0 or not log))
+    knots = tuple(draw(st.lists(st.floats(1e-3, 1e3), max_size=3, unique=True).map(sorted)))
     return gest.TreatmentModelSpec(
         f_terms=tuple(draw(st.lists(st.sampled_from(gest._F_TERMS), min_size=1, max_size=5))),
         g=gest.GFeature(
             clip=draw(st.none() | clip),
             log=log,
-            powers=draw(st.integers(1, 4)),
-            knots=tuple(draw(st.lists(st.floats(1e-3, 1e3), max_size=3, unique=True).map(sorted))),
+            powers=1 if knots else draw(st.integers(1, 4)),
+            knots=knots,
         ),
         components=tuple(draw(st.permutations(range(PSI_DIM))))[:draw(st.integers(0, PSI_DIM))],
     )
@@ -297,7 +305,7 @@ def test_treatment_spec_knots():
     assert spec.g == gest.GFeature(knots=(1.2,))
     assert spec.g.dim == 2
     for bad in ([1.2, 1.2], [2.0, 1.0], [0.0], [-1.0], ["soon"], 1.2):
-        with pytest.raises(SnftmError, match="g.knots"):
+        with pytest.raises(SnftmError, match="'knots'"):
             io.treatment_spec_from_dict({"g": {"knots": bad}})
 
 

@@ -189,7 +189,7 @@ def test_lr_zero_when_estimate_is_null(rich_config):
     pinned_with_info = mle.MleFit(
         pinned.model, pinned.loglik, np.eye(3), np.eye(3), 0.0, True, 1
     )
-    report = mle.test_null(cohort, pinned_with_info, restricted=pinned)
+    report = mle.test_null(cohort, pinned_with_info)
     assert report.lr == 0.0 and report.lr_p == 1.0
 
 
