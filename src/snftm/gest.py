@@ -86,6 +86,7 @@ MAX_CI_GRID_POINTS = 100_000  # points of a confidence-set grid
 _CI_LEVEL = 0.05  # a confidence-set point is accepted where the score test's p-value is at least this
 _NEWTON_TOL = 1e-10  # a logistic fit converges once its largest |standardized score| is below this
 _NEWTON_MAX_ITER = 120
+_SLOPE_STEP = 1e-4  # relative central-difference step of the estimating equation's slope
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,17 @@ class TreatmentModelSpec:
 
 @dataclass(frozen=True)
 class _NullFit:
-    """The treatment model without augmentation: fitted values ``p``, their
-    variances ``w``, the weighted design ``Fw = F * w`` and the history-block
-    information ``i_ff = Fw.T @ F``."""
+    """The treatment model without augmentation, ``theta``, with fitted values
+    ``p0`` and their variances ``v = p0 (1 - p0)``: the history-block
+    information ``i_ff = (F v)^T F`` and sums over each subject's rows, ``R``
+    of ``y - p0``, ``w`` of ``v``, ``FW`` of ``F v`` and ``FR`` of ``F (y - p0)``."""
 
     theta: np.ndarray
-    p: np.ndarray
-    w: np.ndarray
-    Fw: np.ndarray
     i_ff: np.ndarray
+    R: np.ndarray
+    w: np.ndarray
+    FW: np.ndarray
+    FR: np.ndarray
 
 
 def _unit_scale(X: np.ndarray) -> np.ndarray:
@@ -188,11 +191,13 @@ class _HistoryBlock:
 
 class _GestData:
     """Person-interval records: one row per (subject, visit) with the visit's
-    dose as response.  Built once per cohort; the augmentation column is the
-    only part that changes with the candidate shift parameters.  So, once per
-    cohort and on first use, the history block is standardized, rank-checked
-    and factored (``history``) and the null treatment fit is made
-    (``null_fit``); every candidate shares both."""
+    dose as response.  Built once per cohort; the augmentation columns, one row
+    per subject, are the only part that changes with the candidate shift
+    parameters.  So, once per cohort and on first use, the history block is
+    standardized, rank-checked and factored (``history``) and the null
+    treatment fit is made and summed per subject (``null_fit``); every
+    candidate shares both.  Only an augmented fit and its rank check gather
+    the columns onto the rows, ``G[row_subject]``."""
 
     def __init__(self, cohort: Cohort, spec: TreatmentModelSpec):
         self.spec = spec
@@ -223,7 +228,8 @@ class _GestData:
         return self._blip.t0(np.asarray(psi, dtype=float))
 
     def g_columns(self, psi: np.ndarray | None) -> np.ndarray:
-        return self.spec.g.design(self.blipped_times(psi))[self.row_subject]
+        """The augmentation columns at ``psi``, one row per subject."""
+        return self.spec.g.design(self.blipped_times(psi))
 
     @cached_property
     def history(self) -> _HistoryBlock:
@@ -233,9 +239,12 @@ class _GestData:
     def null_fit(self) -> _NullFit:
         theta0, _, _, _ = _logistic_newton(self.history.Fs, self.history.scale, self.y)
         p0 = special.expit(self.F @ theta0)
-        w0 = p0 * (1.0 - p0)
-        Fw = self.F * w0[:, None]
-        return _NullFit(theta0, p0, w0, Fw, Fw.T @ self.F)
+        r, w = self.y - p0, p0 * (1.0 - p0)
+        Fw = self.F * w[:, None]
+        per_subject = lambda x: np.bincount(self.row_subject, weights=x, minlength=self.n_subjects)
+        FW = np.column_stack([per_subject(x) for x in Fw.T])
+        FR = np.column_stack([per_subject(x * r) for x in self.F.T])
+        return _NullFit(theta0, Fw.T @ self.F, per_subject(r), per_subject(w), FW, FR)
 
 
 def _log1pexp(x: np.ndarray) -> np.ndarray:
@@ -351,7 +360,7 @@ def _fit_augmented(
     coefficient at 0; ``G`` passes in ``data.g_columns(psi)`` when the caller
     already has it."""
     h = data.history
-    Gs, g_scale = h.augment(data.g_columns(psi) if G is None else G)
+    Gs, g_scale = h.augment((data.g_columns(psi) if G is None else G)[data.row_subject])
     start = np.concatenate([data.null_fit.theta, np.zeros(Gs.shape[1])])
     Xs, scale = np.column_stack([h.Fs, Gs]), np.concatenate([h.scale, g_scale])
     beta, cov, norm, ll = _logistic_newton(Xs, scale, data.y, start=start)
@@ -386,12 +395,12 @@ class GTestReport:
 
 
 def _score_test(data: _GestData, psi: np.ndarray | None, G: np.ndarray | None = None):
+    """Score statistic of the augmentation coefficient at zero, from per-subject sums."""
     null = data.null_fit
     G = data.g_columns(psi) if G is None else G
-    U = G.T @ (data.y - null.p)
-    i_fg = null.Fw.T @ G
-    i_gg = (G * null.w[:, None]).T @ G
-    V = i_gg - i_fg.T @ np.linalg.solve(null.i_ff, i_fg)
+    U = G.T @ null.R
+    i_fg = null.FW.T @ G
+    V = (G * null.w[:, None]).T @ G - i_fg.T @ np.linalg.solve(null.i_ff, i_fg)
     stat = float(U @ np.linalg.solve(V, U))
     return stat, G.shape[1]
 
@@ -431,19 +440,10 @@ def score_residuals(cohort: Cohort, spec: TreatmentModelSpec, psi) -> np.ndarray
 def _h_matrix(data: _GestData, psi: np.ndarray | None) -> np.ndarray:
     null = data.null_fit
     G = data.g_columns(psi)
-    i_fg = null.Fw.T @ G
-    resid = (data.y - null.p)[:, None] * (G - data.F @ np.linalg.solve(null.i_ff, i_fg))
-    out = np.zeros((data.n_subjects, G.shape[1]))
-    np.add.at(out, data.row_subject, resid)
-    return out
+    return G * null.R[:, None] - null.FR @ np.linalg.solve(null.i_ff, null.FW.T @ G)
 
 
-def sandwich_variance(
-    cohort: Cohort,
-    spec: TreatmentModelSpec,
-    psi_hat,
-    step: float = 1e-4,
-):
+def sandwich_variance(cohort: Cohort, spec: TreatmentModelSpec, psi_hat):
     """M-estimator variance of the shift estimate: the second moment of the
     per-subject estimating function over the squared slope of its mean in the
     candidate parameter, slope by central finite differences.  The nuisance
@@ -455,7 +455,7 @@ def sandwich_variance(
     """
     data = _GestData(cohort, spec)
     _just_identified(spec)
-    return _sandwich(data, psi_hat, step)[:2]
+    return _sandwich(data, psi_hat)[:2]
 
 
 def _just_identified(spec: TreatmentModelSpec) -> int:
@@ -469,14 +469,14 @@ def _just_identified(spec: TreatmentModelSpec) -> int:
     return d
 
 
-def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
+def _sandwich(data: _GestData, psi_hat):
     """``sandwich_variance`` on built, just-identified data, and the per-subject
     estimating function it used."""
     spec = data.spec
     active = np.asarray(psi_hat, dtype=float)[list(spec.components)]
     h = _h_matrix(data, spec.embed(active))
     V = h.T @ h / data.n_subjects
-    D = _slope(data, active, step)
+    D = _slope(data, active)
     smallest = np.min(np.abs(np.linalg.svd(D, compute_uv=False)))
     if smallest < 1e-10 * max(1.0, float(np.max(np.abs(V)))):
         raise WeakIdentificationError(
@@ -489,17 +489,17 @@ def _sandwich(data: _GestData, psi_hat, step: float = 1e-4):
 
 
 def _mean_score(data: _GestData, active) -> np.ndarray:
-    """Mean augmentation score ``G^T (y - p0) / n`` at the null fit.  That fit solves the
-    history-block score equations and the log-likelihood is strictly concave, so the
+    """Mean augmentation score ``G^T (y - p0) / n`` at the null fit, as ``G^T R / n``.  That fit
+    solves the history-block score equations and the log-likelihood is strictly concave, so the
     augmented fit's coefficient is zero exactly where this is; one column shares its sign."""
     G = data.g_columns(data.spec.embed(active))
-    return G.T @ (data.y - data.null_fit.p) / data.n_subjects
+    return G.T @ data.null_fit.R / data.n_subjects
 
 
-def _slope(data: _GestData, active, step: float = 1e-4) -> np.ndarray:
+def _slope(data: _GestData, active) -> np.ndarray:
     """Jacobian of ``_mean_score`` in the free components, by central differences."""
     active = np.asarray(active, dtype=float)
-    steps = np.diag(step * np.maximum(1.0, np.abs(active)))
+    steps = np.diag(_SLOPE_STEP * np.maximum(1.0, np.abs(active)))
     return np.column_stack([
         (_mean_score(data, active + e) - _mean_score(data, active - e)) / (2.0 * e[j])
         for j, e in enumerate(steps)
@@ -559,11 +559,11 @@ def estimate_psi(
     data = _GestData(cohort, spec)
     d = _just_identified(spec)
     box = [tuple(map(float, b)) for b in box]
-    if len(box) != d:
-        raise SnftmError(f"search box must have {d} intervals, got {len(box)}")
+    if len(box) != d or not all(len(b) == 2 and -math.inf < b[0] < b[1] < math.inf for b in box):
+        raise SnftmError(f"search box {box}: need {d} interval(s) (lo, hi) of finite numbers with lo < hi")
     compute_ci = compute_ci and d == 1
+    lo, hi = box[0]
     if compute_ci:
-        lo, hi = box[0]
         n_points = np.ceil((hi + 0.5 * grid_pitch - lo) / grid_pitch) if grid_pitch > 0 else np.nan
         if not n_points <= MAX_CI_GRID_POINTS:  # n_points is np.arange's count
             raise SnftmError(
@@ -572,7 +572,6 @@ def estimate_psi(
             )
 
     if d == 1:
-        lo, hi = box[0]
         score = lambda x: _mean_score(data, [x])[0]
         grid = np.linspace(lo, hi, _N_SCAN)
         vals = np.array([score(x) for x in grid])
@@ -617,7 +616,7 @@ def estimate_psi(
     for idx, x in enumerate(ci_grid):
         vec = spec.embed([x])
         G = data.g_columns(vec)
-        data.history.augment(G)  # a collinear G fails here, not in the score test's solve
+        data.history.augment(G[data.row_subject])  # a collinear G fails here, not in the score test's solve
         trace[idx], _ = _score_test(data, vec, G)
     mask = special.chdtrc(d, trace) >= _CI_LEVEL
 

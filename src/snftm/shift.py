@@ -251,51 +251,48 @@ def blip_up(model: ShiftModel, t0: float, lbar, abar) -> float:
 
 @dataclass(frozen=True)
 class BlipTable:
-    """Per-visit feature rows for a cohort, for fast blip-down at many psi.
+    """A cohort's blip-down reduced to its subjects, for fast evaluation at
+    many psi.  Every shift map except the innermost acts past its own
+    breakpoint, so with ``s_m = exp(x_m . psi)`` the factor of visit ``m``,
 
-    One row per (subject, visit) pair, ordered by subject: the cohort's
-    person-visit rows.  :func:`default_features` is called once per
-    interned history through a visit (``cohort.index.prefixes``) and
-    gathered onto the rows by their ``through`` ids.  Because every shift map except the innermost acts past its own
-    breakpoint, the blipped-down time is affine in the per-row scale factors:
+        t0(psi) = tau_p + sum_{m<p} delta_m * (s_m - 1) + (T - tau_p) * s_p.
 
-        t0(psi) = tau_p + (T - tau_p) * s_p + sum_{m<p} delta_m * (s_m - 1).
+    Each ``x_m`` is one of the few distinct rows ``features`` (interned from
+    the :func:`default_features` of ``cohort.index.prefixes``).  Per subject,
+    ``W[:, j]`` sums ``delta_m`` over the visits ``m < p`` of kind ``j`` and
+    ``c0`` sums ``-delta_m`` over all of them; ``base`` is ``tau_p``, ``tail``
+    ``T - tau_p`` and ``terminal`` the kind of visit ``p``.  ``t0`` adds the
+    terms in visit order and ``tau_p`` last, so for a subject with at most two
+    visits it rounds exactly as a sum over the visits one by one does.
     """
 
-    n_subjects: int
-    row_subject: np.ndarray
-    row_features: np.ndarray
-    row_c1: np.ndarray
-    row_c0: np.ndarray
+    features: np.ndarray
+    W: np.ndarray
+    c0: np.ndarray
     base: np.ndarray
-    terminal_features: np.ndarray
+    tail: np.ndarray
+    terminal: np.ndarray
 
     @classmethod
     def from_cohort(cls, cohort: Cohort) -> "BlipTable":
         ix, k, last, subject = cohort.index, cohort.k, cohort.last, cohort.subject
         # Every prefix but the empty one is the history through some visit.
         table = np.array([default_features(m - 1, lb, ab) for m, lb, ab in ix.prefixes[1:]])
-        row_features = table[ix.through - 1]
+        features, prefix_kind = first_seen(table)
+        kind = prefix_kind[ix.through - 1]
         taus = np.asarray(cohort.grid.taus)
-        delta = np.append(np.diff(taus), math.inf)[k]
-        return cls(
-            n_subjects=len(cohort),
-            row_subject=subject,
-            row_features=row_features,
-            row_c1=np.where(last, cohort.event_times[subject] - taus[k], delta),
-            row_c0=np.where(last, 0.0, -delta),
-            base=taus[k[last]],
-            terminal_features=row_features[last],
-        )
+        n, n_kinds, inner = len(cohort), len(features), ~last
+        delta = np.diff(taus)[k[inner]]
+        W = np.bincount(subject[inner] * n_kinds + kind[inner], weights=delta, minlength=n * n_kinds)
+        c0 = np.bincount(subject[inner], weights=-delta, minlength=n)
+        base = taus[k[last]]
+        return cls(features, W.reshape(n, n_kinds), c0, base, cohort.event_times - base, kind[last])
 
     def t0(self, psi: np.ndarray) -> np.ndarray:
         """Blipped-down times for every subject at parameter ``psi``."""
-        s = np.exp(self.row_features @ np.asarray(psi, dtype=float))
-        contrib = self.row_c1 * s + self.row_c0
-        return self.base + np.bincount(
-            self.row_subject, weights=contrib, minlength=self.n_subjects
-        )
+        s = np.exp(self.features @ np.asarray(psi, dtype=float))
+        return self.base + ((self.W @ s + self.c0) + self.tail * s[self.terminal])
 
     def log_jacobian(self, psi: np.ndarray) -> np.ndarray:
         """Per-subject ``log d t0 / d T``: the innermost log scale factor."""
-        return self.terminal_features @ np.asarray(psi, dtype=float)
+        return (self.features @ np.asarray(psi, dtype=float))[self.terminal]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -121,6 +122,19 @@ def test_over_identified_spec_fails_the_same_way_everywhere():
     assert str(by_estimate.value) == str(by_sandwich.value) == (
         "just-identification requires as many augmentation columns as free components (2 != 1)"
     )
+
+
+@pytest.mark.parametrize("box", [
+    [(0.5, -1.5)], [(math.nan, 0.5)], [(0.5, 0.5)], [(-math.inf, 0.5)], [(-1.5, math.inf)], [(-1.5, 0.5), (0.0, 1.0)],
+])
+def test_search_box_is_checked(box):
+    """A box that is not one finite interval lo < hi per free component is an
+    error naming the box, with or without a confidence set: a reversed box
+    would give an empty confidence set, and a NaN end is not a pitch error."""
+    cohort = dgp.sample_cohort(make_config(), 400, seed=3)
+    for compute_ci in (True, False):
+        with pytest.raises(SnftmError, match=re.escape(f"search box {box}: need 1 interval(s)")):
+            gest.estimate_psi(cohort, SPEC, box, compute_ci=compute_ci)
 
 
 _EXTREMES = [0.0, 1e-300, -1e-300, 20.0, -20.0, 36.7, -36.7, 709.0, -709.0, 800.0, -800.0]
@@ -316,7 +330,7 @@ def _score_test_refit(data, psi):
     theta0, _, _, _ = _newton_from_scratch(data.F, data.y)
     p0 = special.expit(data.F @ theta0)
     w0 = p0 * (1.0 - p0)
-    G = data.g_columns(psi)
+    G = data.g_columns(psi)[data.row_subject]
     U = G.T @ (data.y - p0)
     i_ff = (data.F * w0[:, None]).T @ data.F
     i_fg = (data.F * w0[:, None]).T @ G
@@ -327,7 +341,7 @@ def _score_test_refit(data, psi):
 
 def _cold_alpha(data, psi):
     """Augmentation coefficient from a fit started at zero."""
-    X = np.column_stack([data.F, data.g_columns(psi)])
+    X = np.column_stack([data.F, data.g_columns(psi)[data.row_subject]])
     beta, _, _, _ = _newton_from_scratch(X, data.y)
     return beta[data.F.shape[1]:]
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from snftm import cfsim, core, dgp, gcomp, gest, io, mle
 from snftm.core import Cohort, SnftmError, SurvivalCurve, TimeGrid, Trajectory
@@ -59,33 +60,27 @@ LATE_CELL = Cohort(
 
 
 def _reference_blip_table(cohort):
+    """Kinds are the distinct feature rows in order of first appearance, visit
+    by visit and subject by subject within a visit (the order of the interned
+    prefixes); each subject's sums add its visits in order."""
     grid = cohort.grid
-    subj, rows, c1, c0 = [], [], [], []
-    base = np.empty(len(cohort))
-    term_rows = []
+    feats = [[tuple(default_features(m, traj.covariates[: m + 1], traj.treatments[: m + 1]))
+              for m in range(traj.n_visits)] for traj in cohort]
+    kinds = {}
+    for m in range(grid.K + 1):
+        for row in feats:
+            if m < len(row):
+                kinds.setdefault(row[m], len(kinds))
+    W, c0 = np.zeros((len(cohort), len(kinds))), np.zeros(len(cohort))
+    base, tail = np.empty(len(cohort)), np.empty(len(cohort))
+    terminal = np.empty(len(cohort), dtype=np.intp)
     for i, traj in enumerate(cohort):
         p = traj.n_visits - 1
-        base[i] = grid.tau(p)
-        for m in range(p + 1):
-            x = default_features(m, traj.covariates[: m + 1], traj.treatments[: m + 1])
-            subj.append(i)
-            rows.append(x)
-            if m < p:
-                c1.append(grid.delta(m))
-                c0.append(-grid.delta(m))
-            else:
-                c1.append(traj.event_time - grid.tau(p))
-                c0.append(0.0)
-                term_rows.append(x)
-    return BlipTable(
-        n_subjects=len(cohort),
-        row_subject=np.asarray(subj, dtype=np.intp),
-        row_features=np.vstack(rows),
-        row_c1=np.asarray(c1),
-        row_c0=np.asarray(c0),
-        base=base,
-        terminal_features=np.vstack(term_rows),
-    )
+        for m in range(p):
+            W[i, kinds[feats[i][m]]] += grid.delta(m)
+            c0[i] += -grid.delta(m)
+        base[i], tail[i], terminal[i] = grid.tau(p), traj.event_time - grid.tau(p), kinds[feats[i][p]]
+    return BlipTable(np.array(list(kinds)), W, c0, base, tail, terminal)
 
 
 def _reference_gest_rows(cohort, spec):
@@ -106,6 +101,31 @@ def _reference_gest_rows(cohort, spec):
             rows_subj.append(i)
     event_times = np.array([traj.event_time for traj in cohort])
     return np.asarray(rows_f), np.asarray(rows_y), np.asarray(rows_subj, dtype=np.intp), event_times
+
+
+def _reference_null_scores(data, psi):
+    """The score statistic, the per-subject estimating function and the mean
+    score at the null fit, as sums over the person-visit rows, each with a
+    bound on how far rounding moves it: the size of the terms its sums add,
+    ``|x|`` for every ``x``, carried to first order through the statistic."""
+    p0 = special.expit(data.F @ data.null_fit.theta)
+    w0, r = p0 * (1.0 - p0), data.y - p0
+    G = data.g_columns(psi)[data.row_subject]
+    i_ff, i_fg = (data.F * w0[:, None]).T @ data.F, (data.F * w0[:, None]).T @ G
+    B = np.linalg.solve(i_ff, i_fg)
+    U, V = G.T @ r, (G * w0[:, None]).T @ G - i_fg.T @ B
+    a = np.linalg.solve(V, U)
+    h = np.zeros((data.n_subjects, G.shape[1]))
+    np.add.at(h, data.row_subject, r[:, None] * (G - data.F @ B))
+    aG, aF, aB = np.abs(G), np.abs(data.F), np.abs(B)
+    U_size = aG.T @ np.abs(r)
+    V_size = (aG * w0[:, None]).T @ aG + 2.0 * aB.T @ ((aF * w0[:, None]).T @ aG)
+    h_size = np.zeros_like(h)
+    np.add.at(h_size, data.row_subject, np.abs(r)[:, None] * (aG + aF @ aB))
+    stat = float(U @ a)
+    stat_size = abs(stat) + 2.0 * np.abs(a) @ U_size + np.abs(a) @ V_size @ np.abs(a)
+    n = data.n_subjects
+    return (stat, stat_size), (h, h_size), (U / n, U_size / n)
 
 
 def _reference_profile_cells(cohort):
@@ -199,10 +219,23 @@ PSI = st.tuples(*(st.floats(-1.5, 1.5) for _ in range(3)))
 def test_blip_table_matches_reference_loop(cohort, psi):
     got = BlipTable.from_cohort(cohort)
     want = _reference_blip_table(cohort)
-    assert got.n_subjects == want.n_subjects
-    for name in ("row_subject", "row_features", "row_c1", "row_c0", "base", "terminal_features"):
+    for name in ("features", "W", "c0", "base", "tail", "terminal"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(got.t0(np.asarray(psi)), want.t0(np.asarray(psi)))
+    assert np.array_equal(got.log_jacobian(np.asarray(psi)), want.log_jacobian(np.asarray(psi)))
+    # A subject with at most two visits gets the bits of the sum over its
+    # visits, tau_p + sum_m (c1_m * s_m + c0_m), one visit at a time.
+    grid, t0 = cohort.grid, got.t0(np.asarray(psi))
+    kind = {tuple(x): j for j, x in enumerate(got.features.tolist())}
+    s = np.exp(got.features @ np.asarray(psi))
+    for i, traj in enumerate(cohort):
+        if traj.n_visits > 2:
+            continue
+        p, total = traj.n_visits - 1, 0.0
+        for m in range(p + 1):
+            s_m = s[kind[tuple(default_features(m, traj.covariates[: m + 1], traj.treatments[: m + 1]))]]
+            total += (grid.delta(m) * s_m - grid.delta(m)) if m < p else (traj.event_time - grid.tau(p)) * s_m
+        assert t0[i] == grid.tau(p) + total
 
 
 TERMS = st.lists(st.sampled_from(gest._F_TERMS), min_size=1, max_size=5, unique=True)
@@ -222,6 +255,30 @@ def test_gest_rows_match_reference_loop(cohort, terms):
         assert np.array_equal(getattr(got, name), ref), name
     assert got.F.flags.c_contiguous
     assert got.n_subjects == len(cohort)
+
+
+G_FEATURES = st.sampled_from([gest.GFeature(), gest.GFeature(powers=2), gest.GFeature(knots=(0.8,)),
+                               gest.GFeature(clip=(0.2, 1.5), log=True)])
+
+
+@given(cohort=cohorts(binary_treatments=True), psi=PSI, g=G_FEATURES,
+       terms=st.sampled_from([("intercept",), ("intercept", "l"), ("intercept", "l", "a_prev")]))
+@settings(max_examples=150, deadline=None)
+def test_subject_scores_match_reference_rows(cohort, psi, g, terms):
+    """The score test, estimating function and mean score on per-subject sums
+    agree with the sums over person-visit rows to 1e-12, relative to the size
+    of the terms those sums add."""
+    data = gest._GestData(cohort, gest.TreatmentModelSpec(f_terms=terms, g=g, components=(0, 1, 2)))
+    psi = np.asarray(psi)
+    try:
+        data.history.augment(data.g_columns(psi)[data.row_subject])
+        data.null_fit
+    except SnftmError:  # a rank-deficient [F | G] or a null fit that fails: nothing to compare
+        return
+    stat, h, mean = _reference_null_scores(data, psi)
+    got = gest._score_test(data, psi)[0], gest._h_matrix(data, psi), gest._mean_score(data, psi)
+    for name, value, (want, size) in zip(("score test", "h", "mean score"), got, (stat, h, mean)):
+        assert np.all(np.abs(value - want) <= 1e-12 * size), name
 
 
 @given(cohort=cohorts(), psi=PSI, bins=st.sampled_from([(), (0.8,), (0.5, 1.5)]))
