@@ -37,6 +37,10 @@ from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, gamma_deriv
 __all__ = ["ParametricModel", "MleFit", "MleTestReport", "log_density", "fit", "profile_at", "test_null"]
 
 
+def _finite_increasing(values) -> bool:
+    return all(math.isfinite(v) for v in values) and all(b > a for a, b in zip(values, values[1:]))
+
+
 @dataclass(frozen=True)
 class ParametricModel:
     """A full parametric specification of the observables.
@@ -53,6 +57,13 @@ class ParametricModel:
     baseline_rates: tuple[float, ...]
     bins: tuple[float, ...]
     covariate_probs: Mapping[tuple, tuple[float, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        bounds, bins = tuple(self.baseline_bounds), tuple(self.bins)
+        if bounds[:1] != (0.0,) or not _finite_increasing(bounds):
+            raise ValueError(f"baseline_bounds must start at 0.0 and be finite and strictly increasing, got {bounds}")
+        if not _finite_increasing((0.0, *bins)):
+            raise ValueError(f"bins must be positive, finite and strictly increasing, got {bins}")
 
     @classmethod
     def template(cls, grid, baseline_bounds, bins, psi_init=None) -> "ParametricModel":
@@ -109,41 +120,62 @@ def log_density(model: ParametricModel, traj: Trajectory) -> float:
 
 
 class _ProfileTables:
-    """Cohort pre-aggregation: everything psi-independent, flattened."""
+    """Cohort pre-aggregation: everything psi-independent, per subject.
+
+    ``profile`` reads no person-visit row.  Subjects with the same full
+    history (``index.through`` at their last visit) have the same
+    ``(cell, level)`` rows, so the covariate counts are the number of
+    subjects of each history in each bin of ``t0``, spread over the rows of
+    one subject of that history (``row_history``, ``slot``).  The counts
+    are integers, so they keep their bits in any summation order.
+
+    Piece and bin codes are counts of comparisons with the sorted
+    breakpoints.  Ties go left: a ``t0`` on a breakpoint belongs to the
+    piece below it, as the pieces ``(bounds[j], bounds[j+1]]`` and
+    :meth:`ParametricModel.bin_index` say.  Counting ``t0 <= b`` rather than
+    ``t0 > b`` also puts a NaN ``t0`` in the last piece and bin.
+    """
 
     def __init__(self, cohort: Cohort, model: ParametricModel):
         self.blip = BlipTable.from_cohort(cohort)
         self.bounds = np.asarray(model.baseline_bounds)
+        self.upper = np.append(self.bounds[1:], np.inf)
         self.bins = np.asarray(model.bins)
         self.n = len(cohort)
         ix = cohort.index
         # Cells in order of first appearance: ``profile`` sums over them in that order.
-        cells, self.row_cell = first_seen(ix.cell)
+        cells, row_cell = first_seen(ix.cell)
         self.cells = [ix.prefixes[c] for c in cells.tolist()]
-        self.row_level = cohort.l
-        self.row_subject = cohort.subject
         self.max_level = max(1, *ix.covariate_levels)
         self.n_bins = len(model.bins) + 1
+        histories, history = first_seen(ix.through[cohort.last])
+        self.n_histories = len(histories)
+        # A subject's bin is ``n_bins - 1`` less the number of bins at or above its t0.
+        self.history_top_bin = history * self.n_bins + self.n_bins - 1
+        first = np.zeros(self.n, dtype=bool)
+        first[np.unique(history, return_index=True)[1]] = True
+        rows = first[cohort.subject]
+        self.row_history = history[cohort.subject[rows]]
+        slot = row_cell[rows] * (self.n_bins * self.max_level) + cohort.l[rows]
+        self.slot = (slot[:, None] + np.arange(self.n_bins) * self.max_level).ravel()
 
     def profile(self, psi: np.ndarray):
         """Profile log-likelihood at ``psi`` plus the maximizing nuisances."""
         t0 = self.blip.t0(psi)
         log_jac = float(self.blip.log_jacobian(psi).sum())
 
-        piece = np.clip(np.searchsorted(self.bounds, t0, side="left") - 1, 0, len(self.bounds) - 1)
-        events = np.bincount(piece, minlength=len(self.bounds)).astype(float)
-        persontime = np.empty(len(self.bounds))
-        for j in range(len(self.bounds)):
-            hi = self.bounds[j + 1] if j + 1 < len(self.bounds) else np.inf
-            persontime[j] = np.clip(np.minimum(t0, hi) - self.bounds[j], 0.0, None).sum()
+        below = (t0 <= self.bounds[1:, None]).sum(axis=1)
+        events = np.diff(below, prepend=0, append=self.n).astype(float)
+        persontime = np.maximum(np.minimum(t0, self.upper[:, None]) - self.bounds[:, None], 0.0).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(persontime > 0.0, events / np.maximum(persontime, 1e-300), 0.0)
         ll_base = float(special.xlogy(events, rates).sum()) - float(events.sum())
 
-        bin_idx = np.searchsorted(self.bins, t0, side="left")
-        flat = (self.row_cell * self.n_bins + bin_idx[self.row_subject]) * self.max_level + self.row_level
-        counts = np.bincount(flat, minlength=len(self.cells) * self.n_bins * self.max_level)
-        grouped = counts.reshape(-1, self.max_level).astype(float)
+        history_bin = self.history_top_bin - (t0 <= self.bins[:, None]).sum(axis=0)
+        per_history = np.bincount(history_bin, minlength=self.n_histories * self.n_bins)
+        counts = np.bincount(self.slot, weights=per_history.reshape(-1, self.n_bins)[self.row_history].ravel(),
+                             minlength=len(self.cells) * self.n_bins * self.max_level)
+        grouped = counts.reshape(-1, self.max_level)
         totals = grouped.sum(axis=1)
         ll_cov = float(special.xlogy(grouped, grouped).sum() - special.xlogy(totals, totals).sum())
 
@@ -227,7 +259,10 @@ def _staged_nelder_mead(neg, start, max_evals):
         options={"initial_simplex": _simplex(coarse.x, 0.04), "xatol": 1e-7,
                  "fatol": 1e-12, "maxfev": max_evals // 2},
     )
-    return refine if refine.fun <= coarse.fun else coarse
+    best = refine if refine.fun <= coarse.fun else coarse
+    best.stages = tuple({"stage": name, "nfev": int(res.nfev), "success": bool(res.success)}
+                        for name, res in (("coarse", coarse), ("refine", refine)))
+    return best
 
 
 def _finalize_model(model: ParametricModel, tables: _ProfileTables, psi, rates, grouped) -> ParametricModel:
@@ -256,6 +291,9 @@ class MleFit:
     grad_norm: float
     converged: bool
     n_evals: int
+    # How ``fit`` spent ``n_evals``: each Nelder-Mead stage's ``nfev`` and
+    # ``success`` in search order, and the evaluations of the information fit.
+    diagnostics: Mapping = field(default_factory=dict)
 
 
 def profile_at(cohort: Cohort, model: ParametricModel, psi) -> MleFit:
@@ -307,17 +345,20 @@ def fit(cohort: Cohort, init: ParametricModel) -> MleFit:
     starts = [np.asarray(init.psi.psi, dtype=float)]
     if np.any(starts[0] != 0.0):
         starts.append(np.zeros(d))
-    best = None
+    best, stages = None, []
     for start in starts:
         res = _staged_nelder_mead(neg, start, MAX_EVALS // len(starts))
+        stages += res.stages
         if best is None or res.fun < best.fun:
             best = res
     psi_hat = np.asarray(best.x, dtype=float)
+    searched = evals
     grad, info = _observed_information(neg, psi_hat)
     psi_cov = np.linalg.inv(info)
     grad_norm = float(np.max(np.abs(grad))) / tables.n
+    diagnostics = {"nelder_mead": tuple(stages), "information_evals": evals - searched}
     result = replace(_pinned_fit(tables, init, psi_hat), information=info, psi_cov=psi_cov,
-                     grad_norm=grad_norm, converged=bool(best.success), n_evals=evals)
+                     grad_norm=grad_norm, converged=bool(best.success), n_evals=evals, diagnostics=diagnostics)
     if not best.success:
         raise ConvergenceError(
             f"profile search exhausted its budget of {MAX_EVALS} evaluations",

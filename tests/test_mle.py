@@ -18,6 +18,7 @@ from snftm.core import (
 from snftm.shift import ShiftParams
 
 from conftest import RICH_PSI, make_smooth_null_config
+from test_index import _ReferenceProfile
 
 
 def model_at_truth(cfg) -> mle.ParametricModel:
@@ -218,3 +219,58 @@ def test_gradient_matches_quadratic_surface(rich_config):
         e[i] = 0.08
         fd[i] = (neg(x0 + e) - neg(x0 - e)) / 0.16
     np.testing.assert_allclose(grad, fd, rtol=0.3, atol=2.0)
+
+
+def test_fit_and_test_null_match_the_row_level_profile(rich_config, monkeypatch):
+    # the per-history profile gives the row-level one's bits, so the simplex
+    # takes the same steps and every reported number is the same
+    cohort = dgp.sample_cohort(rich_config, 1000, seed=9)
+    template = mle.ParametricModel.template(rich_config.grid, (0.0, 1.0, 2.0), (1.5,))
+
+    def run():
+        fitted = mle.fit(cohort, template)
+        return fitted, mle.test_null(cohort, fitted)
+
+    shipped, shipped_report = run()
+    reference = _ReferenceProfile(cohort, template)
+    monkeypatch.setattr(mle._ProfileTables, "profile", lambda self, psi: reference(psi))
+    rows, rows_report = run()
+    assert shipped.n_evals == rows.n_evals
+    assert shipped.model.psi.psi == rows.model.psi.psi
+    assert shipped.loglik == rows.loglik
+    assert np.array_equal(shipped.information, rows.information)
+    assert shipped.model == rows.model
+    assert shipped_report.to_dict() == rows_report.to_dict()
+
+
+def test_diagnostics_account_for_every_evaluation(rich_config, monkeypatch):
+    cohort = dgp.sample_cohort(rich_config, 500, seed=21)
+    template = mle.ParametricModel.template(rich_config.grid, (0.0, 1.0, 2.0), (1.5,))
+    template = replace(template, psi=ShiftParams((-0.4, 0.1, 0.2)))  # two starts, four stages
+    calls = []
+    original = mle._ProfileTables.profile
+
+    def counting(self, psi):
+        calls.append(1)
+        return original(self, psi)
+
+    monkeypatch.setattr(mle._ProfileTables, "profile", counting)
+    fit = mle.fit(cohort, template)
+    stages = fit.diagnostics["nelder_mead"]
+    assert [s["stage"] for s in stages] == ["coarse", "refine"] * 2
+    assert all(isinstance(s["success"], bool) and s["nfev"] > 0 for s in stages)
+    assert sum(s["nfev"] for s in stages) + fit.diagnostics["information_evals"] == fit.n_evals
+    assert len(calls) == fit.n_evals + 1  # and one for the fit pinned at psi_hat
+    assert fit.diagnostics["information_evals"] >= 2 * 3**3  # two windowed surfaces at least
+
+
+@pytest.mark.parametrize("bounds, bins, field", [
+    ((0.0, 2.0, 1.0), (), "baseline_bounds"),
+    ((0.5, 1.0), (), "baseline_bounds"),
+    ((0.0, 1.0), (1.5, 0.5), "bins"),
+    ((0.0, 1.0), (0.0, 1.5), "bins"),
+    ((0.0, math.nan), (), "baseline_bounds"),
+])
+def test_template_rejects_unsorted_breakpoints(rich_config, bounds, bins, field):
+    with pytest.raises(ValueError, match=field):
+        mle.ParametricModel.template(rich_config.grid, bounds, bins)
