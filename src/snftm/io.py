@@ -4,8 +4,9 @@ for world configs, regimes and model specs.
 Cohort CSV: one row per subject-visit plus one terminal row per subject.
 Columns, in fixed order: ``id, k, tau_k, L1, A, T_event``.  Visit rows leave
 ``T_event`` empty; the terminal row carries only ``id``, ``k`` (one past the
-last visit) and ``T_event``.  UTF-8 with a header.  The grid and alphabets
-live in a sidecar JSON next to the CSV (``<name>.json``).
+last visit) and ``T_event``.  UTF-8 with a header; a byte-order mark before
+it is skipped.  The grid and alphabets live in a sidecar JSON next to the
+CSV (``<name>.json``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import json
 import math
 import os
 import tempfile
+import warnings
+from io import BytesIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -137,10 +140,13 @@ def _require(ok: bool, where, name: str, rule: str, got):
 
 
 def _parse(convert, text: str, path, lineno: int, column: str):
+    # ASCII decimal: what ``int``/``float`` read of ASCII text without underscores.
     try:
-        return convert(text)
+        if text.isascii() and "_" not in text:
+            return convert(text)
     except ValueError:
-        raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}") from None
+        pass
+    raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}")
 
 
 def read_cohort(path) -> tuple[Cohort, dict]:
@@ -153,6 +159,10 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     its codes non-negative; when the sidecar declares
     ``covariate_levels``/``treatment_levels`` (one per visit), each code
     must lie in ``0 .. level - 1``.
+
+    The rows are parsed as columns by numpy's C reader.  A file that this
+    parse cannot prove well formed is read again row by row, which names the
+    line and column of the first bad cell.
     """
     side_path = _sidecar_path(path)
     try:
@@ -164,14 +174,90 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     if not isinstance(meta, dict) or "taus" not in meta:
         raise CohortFormatError(f"{side_path}: missing field 'taus'")
     grid = TimeGrid(tuple(_list_field(meta, "taus", side_path)))
-    K, taus = grid.K, grid.taus
-    declared = [(j, column, _list_field(meta, name, side_path, K + 1, ints=True)
-                 if name in meta else [math.inf] * (K + 1))
-                for j, (column, name) in enumerate((("L1", "covariate_levels"), ("A", "treatment_levels")))]
+    levels = [_list_field(meta, name, side_path, grid.K + 1, ints=True) if name in meta else [math.inf] * (grid.K + 1)
+              for name in ("covariate_levels", "treatment_levels")]
+    with open(path, "rb") as fh:
+        rows = _parse_columns(fh.read(), grid, levels)
+    if rows is None:
+        rows = _parse_rows(path, grid, levels)
+    return _assemble(path, grid, *rows), meta
 
+
+_BOM = b"\xef\xbb\xbf"
+_CELL_BYTES = b"0123456789+-.eE,\n"
+_COLUMN_DTYPE = np.dtype([("id", np.int64), ("k", np.int64), ("tau_k", float),
+                          ("L1", np.int64), ("A", np.int64), ("T_event", float)])
+
+
+def _parse_columns(data: bytes, grid: TimeGrid, levels):
+    """The rows of cohort CSV bytes as :func:`_assemble` takes them, parsed by
+    ``np.loadtxt``, or ``None`` unless every check :func:`_parse_rows` makes
+    passes and the bytes read the same under both.
+
+    After the header only ASCII digits, signs, ``.``, ``e``/``E``, commas and
+    newlines may appear, so no cell is quoted, padded or a word, and every id
+    is canonical (no sign or leading zero, so ``7`` and ``07`` cannot merge).
+    Empty cells are filled before the parse: a terminal row's ``,,,,`` with
+    ``nan`` and two 0 codes, a visit row's trailing ``,`` with ``nan``.  As
+    no cell reads ``nan`` otherwise, ``tau_k`` is ``nan`` exactly on rows
+    whose ``tau_k``, ``L1`` and ``A`` were empty, and ``T_event`` exactly
+    where it was empty.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    head, _, body = data.removeprefix(_BOM).partition(b"\n")
+    if (head != ",".join(COHORT_COLUMNS).encode() or not body or body.startswith(b"\n") or b"\n\n" in body
+            or body.translate(None, _CELL_BYTES)):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    filled = BytesIO(body.replace(b",,,,", b",nan,0,0,").replace(b",\n", b",nan\n"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy reads "1.0" as an integer, with a DeprecationWarning
+            rows = np.loadtxt(filled, dtype=_COLUMN_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None  # a line that may hold a cell longer than the csv module reads
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = buf[starts], buf[starts + 1]
+    if np.any((first == ord("+")) | (first == ord("-")) | ((first == ord("0")) & (second != ord(",")))):
+        return None
+    ids, k, tau, l, a, t = (rows[c] for c in COHORT_COLUMNS)
+    end = ~np.isnan(t)
+    if np.any(np.isnan(tau) != end):
+        return None  # a terminal row that fills tau_k, L1 or A, or a visit row without tau_k
+    uniq, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    seen = np.argsort(first_row)  # subjects in order of first appearance
+    subject = np.argsort(seen)[inverse]
+    visit = ~end
+    vs, vk, vl, va = subject[visit], k[visit], l[visit], a[visit]
+    if not np.all((vk >= 0) & (vk <= grid.K)):
+        return None
+    cap = np.array([[min(v, np.iinfo(np.int64).max) for v in lv] for lv in levels])
+    if not np.all((tau[visit] == np.asarray(grid.taus)[vk]) & (vl >= 0) & (vl < cap[0][vk])
+                  & (va >= 0) & (va < cap[1][vk])):
+        return None
+    end_subject, end_t = subject[end], t[end]
+    if not np.all((end_t > 0.0) & (end_t < np.inf)) or np.bincount(end_subject).max(initial=0) > 1:
+        return None
+    order = np.lexsort((vk, vs))
+    vs, vk = vs[order], vk[order]
+    if np.any((vs[1:] == vs[:-1]) & (vk[1:] == vk[:-1])):
+        return None  # a repeated visit row
+    return uniq[seen], vs, vk, vl[order], va[order], end_subject, k[end], end_t
+
+
+def _parse_rows(path, grid: TimeGrid, levels):
+    """The rows of the cohort CSV at ``path`` as :func:`_assemble` takes them,
+    read one at a time; the first bad row is a format error naming its line."""
+    K, taus = grid.K, grid.taus
     ids: dict[str, int] = {}  # CSV id -> subject position, in order of first appearance
     visits, ends, end_k, end_t = {}, {}, [], []  # visits: (subject, k) -> (l, a, line); ends: subject -> line
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != COHORT_COLUMNS:
@@ -210,10 +296,10 @@ def read_cohort(path) -> tuple[Cohort, dict]:
             if _parse(float, tau_s, path, lineno, "tau_k") != taus[k]:
                 raise CohortFormatError(f"{path}: line {lineno}: column tau_k: {tau_s!r} is not {taus[k]!r}")
             codes = (_parse(int, l_s, path, lineno, "L1"), _parse(int, a_s, path, lineno, "A"))
-            for j, column, levels in declared:
-                if not 0 <= codes[j] < levels[k]:
+            for code, column, level in zip(codes, ("L1", "A"), levels):
+                if not 0 <= code < level[k]:
                     raise CohortFormatError(
-                        f"{path}: line {lineno}: column {column}: code {codes[j]} is not in 0..{levels[k] - 1}"
+                        f"{path}: line {lineno}: column {column}: code {code} is not in 0..{level[k] - 1}"
                     )
             if (s, k) in visits:
                 raise CohortFormatError(f"{path}: line {lineno}: column k: subject {sid} repeats visit {k} "
@@ -221,12 +307,21 @@ def read_cohort(path) -> tuple[Cohort, dict]:
             visits[s, k] = (*codes, lineno)
     if not ids:
         raise CohortFormatError(f"{path}: no subjects found")
-
-    # Per-subject checks, for the first subject that fails one.
-    n = len(ids)
     subj, k = np.array(list(visits), dtype=np.int64).reshape(-1, 2).T
+    l, a, _ = np.array(list(visits.values()), dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((k, subj))  # subject-major, then by visit
+    return list(ids), subj[order], k[order], l[order], a[order], list(ends), end_k, end_t
+
+
+def _assemble(path, grid: TimeGrid, ids, subj, k, l, a, end_subject, end_k, end_t) -> Cohort:
+    """The cohort of parsed rows: distinct visit rows sorted by subject
+    position ``subj`` and visit ``k``, with codes ``l`` and ``a``, and the
+    terminal rows' subjects, ``k`` and ``T_event``.  A subject that fails a
+    check is a format error naming its CSV id, ``ids[i]``, for the first
+    such subject."""
+    n = len(ids)
     ended, n_visits, event_times = np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64), np.ones(n)
-    ended[list(ends)], n_visits[list(ends)], event_times[list(ends)] = True, end_k, end_t
+    ended[end_subject], n_visits[end_subject], event_times[end_subject] = True, end_k, end_t
     implied = grid.implied_visits(event_times)
     # A subject's visits are distinct and >= 0: exactly 0 .. m - 1 when there are m and the largest is m - 1.
     counts, largest = np.bincount(subj, minlength=n), np.full(n, -1)
@@ -240,10 +335,8 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise CohortFormatError(f"{path}: subject {list(ids)[i]} {message(i)}")
-    order = np.lexsort((k, subj))  # subject-major, then by visit
-    l, a, _ = np.array(list(visits.values()), dtype=np.int64).reshape(-1, 3)[order].T
-    return Cohort.from_columns(grid, event_times, n_visits, l, a), meta
+            raise CohortFormatError(f"{path}: subject {ids[i]} {message(i)}")
+    return Cohort.from_columns(grid, event_times, n_visits, l, a)
 
 
 # ---------------------------------------------------------------------------

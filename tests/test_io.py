@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _write(tmp_path, rows, sidecar):
     p = tmp_path / "x.csv"
-    p.write_text("id,k,tau_k,L1,A,T_event\n" + "".join(r + "\n" for r in rows))
+    p.write_text("id,k,tau_k,L1,A,T_event\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
     (tmp_path / "x.csv.json").write_text(json.dumps(sidecar))
     return p
 
@@ -507,6 +508,9 @@ def test_repeated_rows_and_filled_terminal_cells_are_rejected(tmp_path, rows, wh
         (["7,0,0.0,0,0,", "7,0,,,,0.5"], r"x\.csv: subject 7 .*k = 0"),
         (["7,0,0.0,0,0,", "7,-1,,,,0.5"], r"x\.csv: subject 7 .*k = -1"),
         (["7,0,0.0,0,0,", "7,2,,,,1.5"], r"x\.csv: subject 7 has visit rows"),
+        (["7,0,0.0,1_0,0,", "7,1,,,,0.5"], r"x\.csv: line 2: column L1: bad value '1_0'"),
+        (["7,0,0.0,\u0663,0,", "7,1,,,,0.5"], r"x\.csv: line 2: column L1: bad value '\u0663'"),
+        (["7,0,0.0,0,0,", "7,1,,,,0_0.5"], r"x\.csv: line 3: column T_event: bad value '0_0.5'"),
     ],
 )
 def test_reader_errors_name_the_line_or_the_csv_id(tmp_path, rows, message):
@@ -519,3 +523,159 @@ def test_infinite_event_time_names_the_line(tmp_path):
     p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5", "1,0,0.0,0,0,", "1,2,,,,inf"], {"taus": [0.0, 1.0]})
     with pytest.raises(SnftmError, match="line 5: column T_event"):
         io.read_cohort(p)
+
+
+def _outcome(path):
+    """What ``read_cohort`` makes of ``path``: every column of the cohort, bit for bit,
+    with its grid and sidecar, or the class and message of the error it raises."""
+    try:
+        cohort, meta = io.read_cohort(path)
+    except Exception as e:
+        return type(e), str(e)
+    columns = {c: (getattr(cohort, c).dtype.str, getattr(cohort, c).tobytes())
+               for c in ("event_times", "subject", "k", "l", "a", "last")}
+    return columns, cohort.grid, meta
+
+
+def _outcome_row_by_row(path):
+    with mock.patch.object(io, "_parse_columns", lambda data, grid, levels: None):
+        return _outcome(path)
+
+
+_CELLS = st.sampled_from([
+    b"", b"07", b"+7", b"-7", b"00", b"-0", b"x7", b" 7", b'"7"', b"7 ", b"nan", b"inf", b"-inf", b"Infinity",
+    b"1e999", b"1e-400", b"0e0", b"1E0", b"1.0", b"1.", b".5", b"-.5e-3", b"+1", b"1_0", "\u0663".encode(),
+    str(2**53 + 1).encode(), str(2**63 - 1).encode(), str(2**63).encode(), str(2**64).encode(),
+    str(-2**63 - 1).encode(), b"9" * 40,
+]) | st.text("0123456789+-.eE", max_size=6).map(str.encode) | st.integers(-2, 6).map(lambda v: str(v).encode())
+
+
+def _respell(cell: bytes, how: int) -> bytes:
+    """``cell`` spelled another way that ``int``/``float`` read to the same value, when it has one."""
+    try:
+        v = float(cell)
+    except ValueError:
+        return cell
+    if how == 0:
+        return b"+" + cell
+    if how == 1:
+        return b"0" + cell
+    return (f"{v:.17e}" if how == 2 else f"{v:.17E}").encode() if b"." in cell else cell
+
+
+_CELL_EDITS = ("quote", "cell", "respell", "non-utf8", "copy cell", "fill a terminal row", "end a visit row",
+               "empty a visit row", "k", "tau_k", "code")
+_MUTATIONS = ("shuffle", "crlf", "bom", "no final newline", "blank line", "truncate", "repeat row", "drop row",
+              *_CELL_EDITS)
+
+
+@st.composite
+def mutated_cohort_files(draw):
+    """The bytes of a cohort file that ``write_cohort`` wrote, then mutated at random."""
+    cohort, cov_levels, trt_levels = draw(small_cohorts())
+    declare = draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        io.write_cohort(path, cohort, *((cov_levels, trt_levels) if declare else ()))
+        header, *lines = path.read_bytes().split(b"\n")[:-1]
+        sidecar = (Path(tmp) / "c.csv.json").read_bytes()
+    newline, bom, tail = b"\n", b"", b"\n"
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=4)):
+        if not lines:
+            break
+        at = draw(st.integers(0, len(lines) - 1))
+        cells = lines[at].split(b",")
+        other = lines[draw(st.integers(0, len(lines) - 1))].split(b",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if kind in ("k", "tau_k", "code") and len(cells) < 6:  # a truncated row
+            continue
+        if kind == "shuffle":
+            lines = draw(st.permutations(lines))
+        elif kind == "crlf":
+            newline = b"\r\n"
+        elif kind == "bom":
+            bom = b"\xef\xbb\xbf"
+        elif kind == "no final newline":
+            tail = b""
+        elif kind == "blank line":
+            lines.insert(at, draw(st.sampled_from([b"", b",,,,,", b" "])))
+        elif kind == "quote":
+            cells[j] = b'"' + cells[j] + b'"'
+        elif kind == "truncate":
+            lines[at] = lines[at][:draw(st.integers(0, max(len(lines[at]) - 1, 0)))]
+        elif kind == "cell":
+            cells[j] = draw(_CELLS)
+        elif kind == "respell":
+            cells[j] = _respell(cells[j], draw(st.integers(0, 3)))
+        elif kind == "repeat row":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        elif kind == "drop row":
+            del lines[at]
+        elif kind == "non-utf8":
+            cells[j] += draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"]))
+        elif kind == "copy cell":
+            cells[j] = other[min(j, len(other) - 1)]
+        elif kind == "fill a terminal row":  # tau_k, L1 and A of some row, maybe a visit row's
+            cells[2:5] = other[2:5]
+        elif kind == "end a visit row":
+            cells[5:] = [draw(st.sampled_from([b"0.5", b"1.5", b"9.0", b"0", b"-1.0", b"nan", b"inf"]))]
+        elif kind == "empty a visit row":
+            cells[2:5] = [b"", b"", b""]
+        elif kind == "k":
+            cells[1] = str(draw(st.sampled_from([-1, 0, cohort.grid.K, cohort.grid.K + 1]))).encode()
+        elif kind == "tau_k":
+            cells[2] = repr(draw(st.sampled_from(cohort.grid.taus))).encode()
+        elif kind == "code":
+            cells[draw(st.sampled_from([3, 4]))] = str(draw(st.integers(-2, 4))).encode()
+        if kind in _CELL_EDITS:
+            lines[at] = b",".join(cells)
+    body = newline.join([header, *lines])
+    return bom + body + (tail and newline), sidecar
+
+
+@given(files=mutated_cohort_files())
+@example(files=(b"id,k,tau_k,L1,A,T_event\n07,0,0.0,0,0,\n7,1,,,,0.5\n07,1,,,,0.5\n",
+                b'{"taus": [0.0, 1.0]}'))
+@example(files=(b"id,k,tau_k,L1,A,T_event\n" + str(2**53).encode() + b",0,0.0,0,0,\n"
+                + str(2**53 + 1).encode() + b",0,0.0,0,0,\n" + str(2**53).encode() + b",1,,,,0.5\n"
+                + str(2**53 + 1).encode() + b",1,,,,0.5\n", b'{"taus": [0.0, 1.0]}'))
+@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,-1,1.0,0,0,\n7,2,,,,1.5\n", b'{"taus": [0.0, 1.0]}'))
+@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,nan\n7,1,,,,0.5\n", b'{"taus": [0.0, 1.0]}'))
+@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,1,,,,1." + b"0" * 140_000 + b"\n", b'{"taus": [0.0, 1.0]}'))
+@settings(max_examples=500, deadline=None)
+def test_array_parse_agrees_with_the_row_by_row_reader(files):
+    data, sidecar = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        path.write_bytes(data)
+        (Path(tmp) / "c.csv.json").write_bytes(sidecar)
+        assert _outcome(path) == _outcome_row_by_row(path)
+
+
+def test_well_formed_files_never_reach_the_row_by_row_reader(tmp_path, monkeypatch):
+    cohort = dgp.sample_cohort(io.load_dgp_config(CONFIGS / "demo_dgp.json"), 2000, seed=5)
+    path = tmp_path / "c.csv"
+    io.write_cohort(path, cohort)
+    header, *lines = path.read_bytes().splitlines()
+    lines = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join([header, *lines]))
+    shuffled.with_name("shuffled.csv.json").write_bytes(path.with_name("c.csv.json").read_bytes())
+
+    def fail(*args):
+        raise AssertionError("the row-by-row reader ran")
+
+    monkeypatch.setattr(io, "_parse_rows", fail)
+    assert io.read_cohort(path)[0] == cohort
+    seen = list(dict.fromkeys(int(line.split(b",")[0]) for line in lines))  # subjects by first appearance
+    assert io.read_cohort(shuffled)[0].subjects == tuple(cohort.subjects[i] for i in seen)
+
+
+@pytest.mark.parametrize("row", ["0,0,0.0,1,1,", " 0 , 0 , 0.0 , 1 , 1 , "])  # the array parse, then row by row
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path, row):
+    p = _write(tmp_path, [row, "0,1,,,,0.5"], {"taus": [0.0, 1.0]})
+    with_bom = tmp_path / "bom.csv"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    with_bom.with_name("bom.csv.json").write_bytes(p.with_name("x.csv.json").read_bytes())
+    assert isinstance(_outcome(p)[0], dict)
+    assert _outcome(with_bom) == _outcome(p)
