@@ -6,19 +6,22 @@ Columns, in fixed order: ``id, k, tau_k, L1, A, T_event``.  Visit rows leave
 ``T_event`` empty; the terminal row carries only ``id``, ``k`` (one past the
 last visit) and ``T_event``.  UTF-8 with a header; a byte-order mark before
 it is skipped.  The grid and alphabets live in a sidecar JSON next to the
-CSV (``<name>.json``).
+CSV (``<name>.json``).  :func:`read_cohort` splits a file into columns with
+one of two lexers and makes every check in one checker.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
-from io import BytesIO
+from io import BytesIO, StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -139,16 +142,6 @@ def _require(ok: bool, where, name: str, rule: str, got):
         raise CohortFormatError(f"{where}: field {name!r} must be {rule}, got {got!r}")
 
 
-def _parse(convert, text: str, path, lineno: int, column: str):
-    # ASCII decimal: what ``int``/``float`` read of ASCII text without underscores.
-    try:
-        if text.isascii() and "_" not in text:
-            return convert(text)
-    except ValueError:
-        pass
-    raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}")
-
-
 def read_cohort(path) -> tuple[Cohort, dict]:
     """Parse the cohort CSV and its sidecar; returns ``(cohort, sidecar_dict)``.
 
@@ -158,11 +151,11 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     Every visit row's ``tau_k`` must be the grid's time of visit ``k`` and
     its codes non-negative; when the sidecar declares
     ``covariate_levels``/``treatment_levels`` (one per visit), each code
-    must lie in ``0 .. level - 1``.
-
-    The rows are parsed as columns by numpy's C reader.  A file that this
-    parse cannot prove well formed is read again row by row, which names the
-    line and column of the first bad cell.
+    must lie in ``0 .. level - 1``.  A lexer splits the file into columns,
+    :func:`_lex_loadtxt` for plain bytes and :func:`_lex_csv` for any other,
+    and :func:`_check` makes every check on them.  Bytes that are not UTF-8
+    and a cell longer than ``csv.field_size_limit()`` are errors naming their
+    line, and an integer beyond int64 one naming its line and column.
     """
     side_path = _sidecar_path(path)
     try:
@@ -176,41 +169,38 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     grid = TimeGrid(tuple(_list_field(meta, "taus", side_path)))
     levels = [_list_field(meta, name, side_path, grid.K + 1, ints=True) if name in meta else [math.inf] * (grid.K + 1)
               for name in ("covariate_levels", "treatment_levels")]
-    with open(path, "rb") as fh:
-        rows = _parse_columns(fh.read(), grid, levels)
-    if rows is None:
-        rows = _parse_rows(path, grid, levels)
-    return _assemble(path, grid, *rows), meta
+    data = Path(path).read_bytes()
+    return _check(path, grid, levels, _lex_loadtxt(data) or _lex_csv(path, data)), meta
 
 
 _BOM = b"\xef\xbb\xbf"
 _CELL_BYTES = b"0123456789+-.eE,\n"
-_COLUMN_DTYPE = np.dtype([("id", np.int64), ("k", np.int64), ("tau_k", float),
-                          ("L1", np.int64), ("A", np.int64), ("T_event", float)])
+_COLUMN_DTYPE = np.dtype([(c, float if c in ("tau_k", "T_event") else np.int64) for c in COHORT_COLUMNS])
+_INT64 = np.iinfo(np.int64)
+# ASCII decimal: the text that ``int`` and ``float`` read, less underscores and non-ASCII digits (re.I | re.A).
+_DECIMAL = {int: r"[+-]?[0-9]+", float: r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)"}
+_OK, _WIDE, _EMPTY, _BAD = range(4)  # a cell's state: _WIDE is an integer beyond int64; _EMPTY and _BAD have no value
 
 
-def _parse_columns(data: bytes, grid: TimeGrid, levels):
-    """The rows of cohort CSV bytes as :func:`_assemble` takes them, parsed by
-    ``np.loadtxt``, or ``None`` unless every check :func:`_parse_rows` makes
-    passes and the bytes read the same under both.
-
-    After the header only ASCII digits, signs, ``.``, ``e``/``E``, commas and
-    newlines may appear, so no cell is quoted, padded or a word, and every id
-    is canonical (no sign or leading zero, so ``7`` and ``07`` cannot merge).
-    Empty cells are filled before the parse: a terminal row's ``,,,,`` with
-    ``nan`` and two 0 codes, a visit row's trailing ``,`` with ``nan``.  As
-    no cell reads ``nan`` otherwise, ``tau_k`` is ``nan`` exactly on rows
-    whose ``tau_k``, ``L1`` and ``A`` were empty, and ``T_event`` exactly
-    where it was empty.
-    """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    head, _, body = data.removeprefix(_BOM).partition(b"\n")
-    if (head != ",".join(COHORT_COLUMNS).encode() or not body or body.startswith(b"\n") or b"\n\n" in body
-            or body.translate(None, _CELL_BYTES)):
+def _lex_loadtxt(data: bytes):
+    """The rows of cohort CSV bytes for :func:`_check`, parsed by ``np.loadtxt``,
+    or ``None`` unless after an exact header each line is ASCII digits, signs,
+    ``.``, ``e``/``E`` and commas, none blank or over ``csv.field_size_limit()``,
+    no id has a sign or a leading zero, and each cell reads as its column's type.
+    Empty cells are filled first: ``,,,,`` with ``,nan,0,0,`` and a last ``,``
+    with ``,nan``.  No cell reads ``nan`` otherwise, so ``tau_k`` is ``nan``
+    exactly where ``tau_k``, ``L1`` and ``A`` were empty, and ``T_event`` too."""
+    head, _, body = (data.replace(b"\r\n", b"\n") if b"\r" in data else data).removeprefix(_BOM).partition(b"\n")
+    body += b"" if body.endswith(b"\n") else b"\n"
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1)  # line lengths plus one
+    if (head != ",".join(COHORT_COLUMNS).encode() or body.translate(None, _CELL_BYTES)
+            or not 1 < widths.min() <= widths.max() <= csv.field_size_limit()):
         return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
+    first, second = buf[ends - widths + 1], buf[ends - widths + 2]  # each line's first two bytes
+    if np.any((first == ord("+")) | (first == ord("-")) | ((first == ord("0")) & (second != ord(",")))):
+        return None
     filled = BytesIO(body.replace(b",,,,", b",nan,0,0,").replace(b",\n", b",nan\n"))
     try:
         with warnings.catch_warnings():
@@ -218,125 +208,134 @@ def _parse_columns(data: bytes, grid: TimeGrid, levels):
             rows = np.loadtxt(filled, dtype=_COLUMN_DTYPE, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
-        return None  # a line that may hold a cell longer than the csv module reads
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    first, second = buf[starts], buf[starts + 1]
-    if np.any((first == ord("+")) | (first == ord("-")) | ((first == ord("0")) & (second != ord(",")))):
-        return None
-    ids, k, tau, l, a, t = (rows[c] for c in COHORT_COLUMNS)
-    end = ~np.isnan(t)
-    if np.any(np.isnan(tau) != end):
-        return None  # a terminal row that fills tau_k, L1 or A, or a visit row without tau_k
-    uniq, first_row, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    n = len(rows)
+    uniq, first_row, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
     seen = np.argsort(first_row)  # subjects in order of first appearance
-    subject = np.argsort(seen)[inverse]
-    visit = ~end
-    vs, vk, vl, va = subject[visit], k[visit], l[visit], a[visit]
-    if not np.all((vk >= 0) & (vk <= grid.K)):
-        return None
-    cap = np.array([[min(v, np.iinfo(np.int64).max) for v in lv] for lv in levels])
-    if not np.all((tau[visit] == np.asarray(grid.taus)[vk]) & (vl >= 0) & (vl < cap[0][vk])
-                  & (va >= 0) & (va < cap[1][vk])):
-        return None
-    end_subject, end_t = subject[end], t[end]
-    if not np.all((end_t > 0.0) & (end_t < np.inf)) or np.bincount(end_subject).max(initial=0) > 1:
-        return None
-    order = np.lexsort((vk, vs))
-    vs, vk = vs[order], vk[order]
-    if np.any((vs[1:] == vs[:-1]) & (vk[1:] == vk[:-1])):
-        return None  # a repeated visit row
-    return uniq[seen], vs, vk, vl[order], va[order], end_subject, k[end], end_t
+    state = np.full((len(COHORT_COLUMNS), n), _OK, dtype=np.uint8)
+    state[2:5, np.isnan(rows["tau_k"])], state[5, np.isnan(rows["T_event"])] = _EMPTY, _EMPTY
+    return (uniq[seen], np.argsort(seen)[inverse], np.arange(2, n + 2), np.full(n, len(COHORT_COLUMNS)), state,
+            *(rows[c] for c in COHORT_COLUMNS[1:]), lambda i: body.split(b"\n")[i].decode().split(","))
 
 
-def _parse_rows(path, grid: TimeGrid, levels):
-    """The rows of the cohort CSV at ``path`` as :func:`_assemble` takes them,
-    read one at a time; the first bad row is a format error naming its line."""
-    K, taus = grid.K, grid.taus
-    ids: dict[str, int] = {}  # CSV id -> subject position, in order of first appearance
-    visits, ends, end_k, end_t = {}, {}, [], []  # visits: (subject, k) -> (l, a, line); ends: subject -> line
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != COHORT_COLUMNS:
-            raise CohortFormatError(
-                f"{path}: header must be exactly {','.join(COHORT_COLUMNS)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if len(cells) != len(COHORT_COLUMNS):
-                raise CohortFormatError(
-                    f"{path}: line {lineno}: expected {len(COHORT_COLUMNS)} columns, got {len(row)}"
-                )
-            sid, k_s, tau_s, l_s, a_s, t_s = cells
-            s = ids.setdefault(sid, len(ids))
-            k = _parse(int, k_s, path, lineno, "k")
-            if t_s:
-                for column, text in zip(COHORT_COLUMNS[2:5], (tau_s, l_s, a_s)):
-                    if text:
-                        raise CohortFormatError(f"{path}: line {lineno}: column {column}: {text!r} on a "
-                                                "terminal row, which carries only id, k and T_event")
-                if s in ends:
-                    raise CohortFormatError(f"{path}: line {lineno}: column T_event: subject {sid} already "
-                                            f"has a terminal row, on line {ends[s]}")
-                t = _parse(float, t_s, path, lineno, "T_event")
-                if not (math.isfinite(t) and t > 0.0):
-                    raise CurveDomainError(f"{path}: line {lineno}: column T_event: event_time must be "
-                                           f"positive and finite, got {t}")
-                ends[s] = lineno
-                end_k.append(k)
-                end_t.append(t)
-                continue
-            if not 0 <= k <= K:
-                raise CohortFormatError(f"{path}: line {lineno}: column k: visit {k} is off the grid's 0..{K}")
-            if _parse(float, tau_s, path, lineno, "tau_k") != taus[k]:
-                raise CohortFormatError(f"{path}: line {lineno}: column tau_k: {tau_s!r} is not {taus[k]!r}")
-            codes = (_parse(int, l_s, path, lineno, "L1"), _parse(int, a_s, path, lineno, "A"))
-            for code, column, level in zip(codes, ("L1", "A"), levels):
-                if not 0 <= code < level[k]:
-                    raise CohortFormatError(
-                        f"{path}: line {lineno}: column {column}: code {code} is not in 0..{level[k] - 1}"
-                    )
-            if (s, k) in visits:
-                raise CohortFormatError(f"{path}: line {lineno}: column k: subject {sid} repeats visit {k} "
-                                        f"of line {visits[s, k][2]}")
-            visits[s, k] = (*codes, lineno)
-    if not ids:
+def _lex_csv(path, data: bytes):
+    """The rows of cohort CSV bytes for :func:`_check`, split by the ``csv`` module:
+    quoted or padded cells, and blank rows left out but counted in the line numbers."""
+    data = data.removeprefix(_BOM)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise CohortFormatError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from None
+    records = []
+    try:
+        records.extend(csv.reader(StringIO(text, newline="")))
+    except csv.Error as e:
+        raise CohortFormatError(f"{path}: line {len(records) + 1}: {e}") from None
+    header, *records = records or [None]
+    if header is None or tuple(h.strip() for h in header) != COHORT_COLUMNS:
+        raise CohortFormatError(f"{path}: header must be exactly {','.join(COHORT_COLUMNS)}, got {header}")
+    kept = np.fromiter(map(bool, map(str.strip, map("".join, records))), dtype=bool, count=len(records))
+    rows = list(itertools.compress(records, kept))
+    columns = [list(map(str.strip, c)) for c in itertools.islice(itertools.zip_longest(*rows, fillvalue=""), 6)]
+    columns += [[""] * len(rows)] * (len(COHORT_COLUMNS) - len(columns))
+    codes = dict(zip(dict.fromkeys(columns[0]), itertools.count()))  # each id's subject, by first appearance
+    values, states = zip(*map(_lex_cells, columns[1:], (int, float, int, int, float)))
+    return (list(codes), np.fromiter(map(codes.get, columns[0]), np.int64, len(rows)), np.flatnonzero(kept) + 2,
+            np.fromiter(map(len, rows), np.int64, len(rows)), np.stack([np.full(len(rows), _OK, np.uint8), *states]),
+            *values, lambda i: [c.strip() for c in rows[i]])
+
+
+def _lex_cells(cells, convert):
+    """Values (0 where none) and states of stripped cells that ``convert`` reads as ASCII decimal."""
+    ok = filled = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    try:  # every filled cell at once
+        joined = "".join(cells)
+        if not joined.isascii() or "_" in joined:
+            raise ValueError
+        values = list(map(convert, itertools.compress(cells, ok)))
+    except ValueError:  # some cell does not read: match each one (the pattern compiles only here)
+        ok = np.fromiter(map(bool, map(re.compile(_DECIMAL[convert], re.I | re.A).fullmatch, cells)), bool, len(cells))
+        values = list(map(convert, itertools.compress(cells, ok)))
+    state = np.where(ok, _OK, np.where(filled, _BAD, _EMPTY)).astype(np.uint8)
+    column = np.zeros(len(cells), dtype=np.int64 if convert is int else float)
+    try:
+        column[ok] = values
+    except OverflowError:
+        wide = np.array([not _INT64.min <= v <= _INT64.max for v in values])
+        state[np.flatnonzero(ok)[wide]] = _WIDE
+        column[ok] = np.where(wide, 0, np.array(values, dtype=object))
+    return column, state
+
+
+def _check(path, grid: TimeGrid, levels, rows) -> Cohort:
+    """The cohort of lexed ``rows``: each subject's CSV id by first appearance, then per row its subject, line (the
+    header's is 1), cell count, cell states (a row per ``COHORT_COLUMNS``), ``k`` to ``T_event`` and ``cells(i)``,
+    row ``i``'s stripped cells.  The first row to fail a check is an error naming its line and the column of its first
+    failing check below; then the first integer beyond int64; then the first subject to fail a check, naming its id."""
+    ids, subject, line, width, state, k, tau, l, a, t, cells = rows
+    n, K, end = len(line), grid.K, state[5] != _EMPTY  # terminal rows fill T_event
+    visit, on_grid = ~end, np.clip(k, 0, K)
+    # A visit row's key is its subject and visit, a terminal row's its subject and K + 1: equal keys repeat a row.
+    key = subject * (K + 2) + np.where(end, K + 1, on_grid)
+    order = np.argsort(key, kind="stable")
+    repeat = np.bincount(order[1:][np.diff(key[order]) == 0], minlength=n) > 0
+
+    def bad_value(kind, j):
+        return kind & (state[j] >= _EMPTY), j, lambda i: f"bad value {cells(i)[j]!r}"
+
+    def out_of_range(j, code, level):
+        out = (code < 0) | (code > np.array([min(v - 1, _INT64.max) for v in level])[on_grid])
+        for i in np.flatnonzero(state[j] == _WIDE):
+            out[i] = not 0 <= int(cells(i)[j]) < level[on_grid[i]]
+        return visit & out, j, lambda i: f"code {int(cells(i)[j])} is not in 0..{level[k[i]] - 1}"
+
+    checks = (  # (failing rows, column, message[, error class]), in the order each row is checked
+        (width != len(COHORT_COLUMNS), None, lambda i: f"expected {len(COHORT_COLUMNS)} columns, got {width[i]}"),
+        bad_value(True, 1),
+        *((end & (state[j] != _EMPTY), j, lambda i, j=j: f"{cells(i)[j]!r} on a terminal row, which carries "
+           "only id, k and T_event") for j in (2, 3, 4)),
+        (end & repeat, 5,
+         lambda i: f"subject {ids[subject[i]]} already has a terminal row, on line {line[np.argmax(key == key[i])]}"),
+        bad_value(end, 5),
+        (end & ~((t > 0.0) & (t < np.inf)), 5,
+         lambda i: f"event_time must be positive and finite, got {float(t[i])}", CurveDomainError),
+        (visit & ((state[1] == _WIDE) | (k < 0) | (k > K)), 1,
+         lambda i: f"visit {int(cells(i)[1])} is off the grid's 0..{K}"),
+        bad_value(visit, 2),
+        (visit & (tau != np.asarray(grid.taus, dtype=float)[on_grid]), 2,
+         lambda i: f"{cells(i)[2]!r} is not {grid.taus[k[i]]!r}"),
+        bad_value(visit, 3), bad_value(visit, 4),
+        out_of_range(3, l, levels[0]), out_of_range(4, a, levels[1]),
+        (visit & repeat, 1,
+         lambda i: f"subject {ids[subject[i]]} repeats visit {k[i]} of line {line[np.argmax(key == key[i])]}"),
+    )
+    wide = [(state[j] == _WIDE, j, lambda i, j=j: f"{int(cells(i)[j])} is beyond int64") for j in (1, 3, 4)]
+    for table in (checks, wide):  # once every row passes, only a terminal k or a visit code can be wide
+        failing = functools.reduce(np.logical_or, [check[0] for check in table])
+        if failing.any():
+            i = int(np.argmax(failing))
+            _, j, message, *error = next(check for check in table if check[0][i])
+            column = "" if j is None else f"column {COHORT_COLUMNS[j]}: "
+            raise (error or [CohortFormatError])[0](f"{path}: line {line[i]}: {column}{message(i)}")
+    if not n:
         raise CohortFormatError(f"{path}: no subjects found")
-    subj, k = np.array(list(visits), dtype=np.int64).reshape(-1, 2).T
-    l, a, _ = np.array(list(visits.values()), dtype=np.int64).reshape(-1, 3).T
-    order = np.lexsort((k, subj))  # subject-major, then by visit
-    return list(ids), subj[order], k[order], l[order], a[order], list(ends), end_k, end_t
-
-
-def _assemble(path, grid: TimeGrid, ids, subj, k, l, a, end_subject, end_k, end_t) -> Cohort:
-    """The cohort of parsed rows: distinct visit rows sorted by subject
-    position ``subj`` and visit ``k``, with codes ``l`` and ``a``, and the
-    terminal rows' subjects, ``k`` and ``T_event``.  A subject that fails a
-    check is a format error naming its CSV id, ``ids[i]``, for the first
-    such subject."""
-    n = len(ids)
-    ended, n_visits, event_times = np.zeros(n, dtype=bool), np.ones(n, dtype=np.int64), np.ones(n)
-    ended[end_subject], n_visits[end_subject], event_times[end_subject] = True, end_k, end_t
+    visits, ends = order[visit[order]], order[end[order]]  # with no repeat, ``order`` sorts rows by subject, then k
+    ended, n_visits, event_times = np.zeros(len(ids), dtype=bool), np.ones(len(ids), dtype=np.int64), np.ones(len(ids))
+    ended[subject[ends]], n_visits[subject[ends]], event_times[subject[ends]] = True, k[ends], t[ends]
     implied = grid.implied_visits(event_times)
-    # A subject's visits are distinct and >= 0: exactly 0 .. m - 1 when there are m and the largest is m - 1.
-    counts, largest = np.bincount(subj, minlength=n), np.full(n, -1)
-    np.maximum.at(largest, subj, k)
+    # A subject's m visits are distinct and >= 0: exactly 0 .. m - 1 when there are m and none is m or more.
     for bad, message in (
         (~ended, lambda i: "has no terminal row"),
         (n_visits != implied, lambda i: f"has terminal k = {n_visits[i]}, but its event time "
                                         f"{float(event_times[i])!r} implies {implied[i]} visits"),
-        ((counts != n_visits) | (largest != n_visits - 1),
+        ((np.bincount(subject[visits], minlength=len(ids)) != n_visits)
+         | (np.bincount(subject[visits], k[visits] >= n_visits[subject[visits]], len(ids)) > 0),
          lambda i: f"has visit rows that are not exactly 0..{n_visits[i] - 1}"),
     ):
         if bad.any():
             i = int(np.argmax(bad))
             raise CohortFormatError(f"{path}: subject {ids[i]} {message(i)}")
-    return Cohort.from_columns(grid, event_times, n_visits, l, a)
+    return Cohort.from_columns(grid, event_times, n_visits, l[visits], a[visits])
 
 
 # ---------------------------------------------------------------------------

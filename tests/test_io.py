@@ -1,6 +1,9 @@
+import csv
 import itertools
 import json
+import math
 import tempfile
+from io import StringIO
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from snftm import dgp, gest, io
 from snftm.core import (
     Cohort,
     CohortFormatError,
+    CurveDomainError,
     SnftmError,
     SurvivalCurve,
     TimeGrid,
@@ -525,11 +529,154 @@ def test_infinite_event_time_names_the_line(tmp_path):
         io.read_cohort(p)
 
 
-def _outcome(path):
-    """What ``read_cohort`` makes of ``path``: every column of the cohort, bit for bit,
+_WIDE_LEVELS = {"taus": [0.0, 1.0], "covariate_levels": [2, 2**70], "treatment_levels": [2, 2]}
+
+
+@pytest.mark.parametrize(
+    "rows, sidecar, message",
+    [
+        (b"7,0,0.0,0,0,\n7,1,,,,0.5\xff\n", None, r"x\.csv: line 3: not UTF-8 text \(invalid start byte\)"),
+        (b"7,0,0.0,0,0,\n7,99999999999999999999,,,,0.5\n", None,
+         r"x\.csv: line 3: column k: 99999999999999999999 is beyond int64"),
+        (b"7,0,0.0,0,-0,\n7,1,,,,0.5\n8,0,0.0,18446744073709551616,0,\n8,1,,,,0.5\n", None,
+         r"x\.csv: line 4: column L1: 18446744073709551616 is beyond int64"),
+        (b"7,0,0.0,0,0,\n7,1,,,,1." + b"0" * 140_000 + b"\n", None, r"x\.csv: line 3: field larger than field limit"),
+        # A wide k on a visit row and a wide code over its declared level keep their messages; a code under a
+        # level beyond int64 is wide; and a failing row comes before any wide cell.
+        (b"7,0,0.0,0,0,\n7,99999999999999999999,1.0,0,0,\n", None,
+         r"line 3: column k: visit 99999999999999999999 is off"),
+        (b"7,0,0.0,0,0,\n7,1,1.0,1180591620717411303424,0,\n7,2,,,,1.5\n", _WIDE_LEVELS,
+         r"line 3: column L1: code 1180591620717411303424 is not in 0\.\.1180591620717411303423"),
+        (b"7,0,0.0,0,0,\n7,1,1.0,18446744073709551616,0,\n7,2,,,,1.5\n", _WIDE_LEVELS,
+         r"line 3: column L1: 18446744073709551616 is beyond int64"),
+        (b"7,0,0.0,0,0,\n7,99999999999999999999,,,,0.5\n7,0,1.0,1,0,\n", None,
+         r"line 4: column tau_k: '1\.0' is not 0\.0"),
+    ],
+)
+def test_input_the_csv_module_or_int64_cannot_hold_names_the_line(tmp_path, capsys, rows, sidecar, message):
+    from snftm import cli
+
+    p = tmp_path / "x.csv"
+    p.write_bytes(b"id,k,tau_k,L1,A,T_event\n" + rows)
+    (tmp_path / "x.csv.json").write_text(json.dumps(sidecar or {"taus": [0.0, 1.0]}))
+    with pytest.raises(CohortFormatError, match=message):
+        io.read_cohort(p)
+    with mock.patch.object(io, "_lex_loadtxt", lambda data: None):
+        with pytest.raises(CohortFormatError, match=message):
+            io.read_cohort(p)
+    assert cli.main(["gtest", "--cohort", str(p), "--spec", str(CONFIGS / "treatment_model.json")]) == 1
+    err = capsys.readouterr().err
+    assert "snftm: error:" in err and "Traceback" not in err, err
+
+
+def _reference_read_rows(path):
+    """``read_cohort`` one row at a time: the reader that the two lexers and the
+    array checker replaced, kept as their reference.  It parses and checks each
+    row in turn, so the first bad row is the error, and then checks subject by
+    subject.  It differs from that reader only where the old one let a bare
+    exception out: a non-UTF-8 byte and a cell over the ``csv`` field limit are
+    errors naming their line before any row is read, and an integer beyond
+    int64 is one naming its line and column after every row passed."""
+    meta = json.loads(Path(f"{path}.json").read_text())  # the fuzz writes well-formed sidecars
+    grid = TimeGrid(tuple(meta["taus"]))
+    levels = [meta.get(name, [math.inf] * (grid.K + 1)) for name in ("covariate_levels", "treatment_levels")]
+    K, taus = grid.K, grid.taus
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data[:e.start].count(b"\n") + 1
+        raise CohortFormatError(f"{path}: line {line}: not UTF-8 text ({e.reason})") from None
+    records = []
+    try:
+        for record in csv.reader(StringIO(text, newline="")):
+            records.append(record)
+    except csv.Error as e:
+        raise CohortFormatError(f"{path}: line {len(records) + 1}: {e}") from None
+
+    def parse(convert, text, lineno, column):
+        try:
+            if text.isascii() and "_" not in text:
+                return convert(text)
+        except ValueError:
+            pass
+        raise CohortFormatError(f"{path}: line {lineno}: column {column}: bad value {text!r}")
+
+    ids: dict[str, int] = {}  # CSV id -> subject position, in order of first appearance
+    visits, ends, end_k, end_t = {}, {}, [], []  # visits: (subject, k) -> (l, a, line); ends: subject -> line
+    ints = []  # (line, column, value) of each terminal k and visit code, in file order
+    header = records[0] if records else None
+    if header is None or tuple(h.strip() for h in header) != io.COHORT_COLUMNS:
+        raise CohortFormatError(f"{path}: header must be exactly {','.join(io.COHORT_COLUMNS)}, got {header}")
+    for lineno, row in enumerate(records[1:], start=2):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != 6:
+            raise CohortFormatError(f"{path}: line {lineno}: expected 6 columns, got {len(row)}")
+        sid, k_s, tau_s, l_s, a_s, t_s = cells
+        s = ids.setdefault(sid, len(ids))
+        k = parse(int, k_s, lineno, "k")
+        if t_s:
+            for column, text in zip(io.COHORT_COLUMNS[2:5], (tau_s, l_s, a_s)):
+                if text:
+                    raise CohortFormatError(f"{path}: line {lineno}: column {column}: {text!r} on a "
+                                            "terminal row, which carries only id, k and T_event")
+            if s in ends:
+                raise CohortFormatError(f"{path}: line {lineno}: column T_event: subject {sid} already "
+                                        f"has a terminal row, on line {ends[s]}")
+            t = parse(float, t_s, lineno, "T_event")
+            if not (math.isfinite(t) and t > 0.0):
+                raise CurveDomainError(f"{path}: line {lineno}: column T_event: event_time must be "
+                                       f"positive and finite, got {t}")
+            ends[s] = lineno
+            end_k.append(k)
+            end_t.append(t)
+            ints.append((lineno, "k", k))
+            continue
+        if not 0 <= k <= K:
+            raise CohortFormatError(f"{path}: line {lineno}: column k: visit {k} is off the grid's 0..{K}")
+        if parse(float, tau_s, lineno, "tau_k") != taus[k]:
+            raise CohortFormatError(f"{path}: line {lineno}: column tau_k: {tau_s!r} is not {taus[k]!r}")
+        codes = (parse(int, l_s, lineno, "L1"), parse(int, a_s, lineno, "A"))
+        for code, column, level in zip(codes, ("L1", "A"), levels):
+            if not 0 <= code < level[k]:
+                raise CohortFormatError(
+                    f"{path}: line {lineno}: column {column}: code {code} is not in 0..{level[k] - 1}"
+                )
+        if (s, k) in visits:
+            raise CohortFormatError(f"{path}: line {lineno}: column k: subject {sid} repeats visit {k} "
+                                    f"of line {visits[s, k][2]}")
+        visits[s, k] = (*codes, lineno)
+        ints += [(lineno, "L1", codes[0]), (lineno, "A", codes[1])]
+    if not ids:
+        raise CohortFormatError(f"{path}: no subjects found")
+    for lineno, column, v in ints:
+        if not -2**63 <= v < 2**63:
+            raise CohortFormatError(f"{path}: line {lineno}: column {column}: {v} is beyond int64")
+    n_visits, event_times = [1] * len(ids), np.ones(len(ids))
+    for s, k, t in zip(ends, end_k, end_t):
+        n_visits[s], event_times[s] = k, t
+    implied = grid.implied_visits(event_times)
+    for bad, message in (
+        (lambda s: s not in ends, lambda s: "has no terminal row"),
+        (lambda s: n_visits[s] != implied[s], lambda s: f"has terminal k = {n_visits[s]}, but its event time "
+                                                        f"{float(event_times[s])!r} implies {implied[s]} visits"),
+        (lambda s: sorted(k for i, k in visits if i == s) != list(range(n_visits[s])),
+         lambda s: f"has visit rows that are not exactly 0..{n_visits[s] - 1}"),
+    ):
+        for sid, s in ids.items():
+            if bad(s):
+                raise CohortFormatError(f"{path}: subject {sid} {message(s)}")
+    l, a = (np.array([visits[key][j] for key in sorted(visits)], dtype=np.int64) for j in (0, 1))
+    return Cohort.from_columns(grid, event_times, np.array(n_visits, dtype=np.int64), l, a), meta
+
+
+def _outcome(path, read=io.read_cohort):
+    """What ``read`` makes of ``path``: every column of the cohort, bit for bit,
     with its grid and sidecar, or the class and message of the error it raises."""
     try:
-        cohort, meta = io.read_cohort(path)
+        cohort, meta = read(path)
     except Exception as e:
         return type(e), str(e)
     columns = {c: (getattr(cohort, c).dtype.str, getattr(cohort, c).tobytes())
@@ -537,16 +684,11 @@ def _outcome(path):
     return columns, cohort.grid, meta
 
 
-def _outcome_row_by_row(path):
-    with mock.patch.object(io, "_parse_columns", lambda data, grid, levels: None):
-        return _outcome(path)
-
-
 _CELLS = st.sampled_from([
     b"", b"07", b"+7", b"-7", b"00", b"-0", b"x7", b" 7", b'"7"', b"7 ", b"nan", b"inf", b"-inf", b"Infinity",
     b"1e999", b"1e-400", b"0e0", b"1E0", b"1.0", b"1.", b".5", b"-.5e-3", b"+1", b"1_0", "\u0663".encode(),
     str(2**53 + 1).encode(), str(2**63 - 1).encode(), str(2**63).encode(), str(2**64).encode(),
-    str(-2**63 - 1).encode(), b"9" * 40,
+    str(-2**63 - 1).encode(), b"9" * 40, b"INF", b"-nAn", b"infinit", b"1.e5", "\u0131nf".encode(),
 ]) | st.text("0123456789+-.eE", max_size=6).map(str.encode) | st.integers(-2, 6).map(lambda v: str(v).encode())
 
 
@@ -633,26 +775,47 @@ def mutated_cohort_files(draw):
     return bom + body + (tail and newline), sidecar
 
 
-@given(files=mutated_cohort_files())
-@example(files=(b"id,k,tau_k,L1,A,T_event\n07,0,0.0,0,0,\n7,1,,,,0.5\n07,1,,,,0.5\n",
-                b'{"taus": [0.0, 1.0]}'))
-@example(files=(b"id,k,tau_k,L1,A,T_event\n" + str(2**53).encode() + b",0,0.0,0,0,\n"
-                + str(2**53 + 1).encode() + b",0,0.0,0,0,\n" + str(2**53).encode() + b",1,,,,0.5\n"
-                + str(2**53 + 1).encode() + b",1,,,,0.5\n", b'{"taus": [0.0, 1.0]}'))
-@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,-1,1.0,0,0,\n7,2,,,,1.5\n", b'{"taus": [0.0, 1.0]}'))
-@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,nan\n7,1,,,,0.5\n", b'{"taus": [0.0, 1.0]}'))
-@example(files=(b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,1,,,,1." + b"0" * 140_000 + b"\n", b'{"taus": [0.0, 1.0]}'))
-@settings(max_examples=500, deadline=None)
-def test_array_parse_agrees_with_the_row_by_row_reader(files):
+def _against_the_reference(test):
+    """``test(files)`` on 500 mutated cohort files and on examples that pin edges of the readers."""
+    taus = b'{"taus": [0.0, 1.0]}'
+    for data in (
+        b"id,k,tau_k,L1,A,T_event\n07,0,0.0,0,0,\n7,1,,,,0.5\n07,1,,,,0.5\n",
+        b"id,k,tau_k,L1,A,T_event\n" + str(2**53).encode() + b",0,0.0,0,0,\n" + str(2**53 + 1).encode()
+        + b",0,0.0,0,0,\n" + str(2**53).encode() + b",1,,,,0.5\n" + str(2**53 + 1).encode() + b",1,,,,0.5\n",
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,-1,1.0,0,0,\n7,2,,,,1.5\n",
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,nan\n7,1,,,,0.5\n",
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,1,,,,1." + b"0" * 140_000 + b"\n",
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,1,1.0,,,x\n",  # a filled tau_k before a bad T_event
+        b"id,k,tau_k,L1,A,T_event\n7,0,x,-1,0,\n7,1,,,,0.5\n",  # a bad tau_k before a code out of range
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,0,\n7,1,,,,0.5\xff\n",
+        b"id,k,tau_k,L1,A,T_event\n7,0,0.0,0,99999999999999999999,\n7,99999999999999999999,,,,0.5\n",
+    ):
+        test = example(files=(data, taus))(test)
+    return given(files=mutated_cohort_files())(settings(max_examples=500, deadline=None)(test))
+
+
+def _agrees_with_the_reference(files):
     data, sidecar = files
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
         path.write_bytes(data)
         (Path(tmp) / "c.csv.json").write_bytes(sidecar)
-        assert _outcome(path) == _outcome_row_by_row(path)
+        assert _outcome(path) == _outcome(path, _reference_read_rows)
+
+
+@_against_the_reference
+def test_array_parse_agrees_with_the_row_by_row_reader(files):
+    _agrees_with_the_reference(files)
+
+
+@_against_the_reference
+def test_csv_lexer_agrees_with_the_row_by_row_reader(files):
+    with mock.patch.object(io, "_lex_loadtxt", lambda data: None):
+        _agrees_with_the_reference(files)
 
 
 def test_well_formed_files_never_reach_the_row_by_row_reader(tmp_path, monkeypatch):
+    """Files that np.loadtxt reads, shuffled or with a byte-order mark and CRLF, never reach the csv lexer."""
     cohort = dgp.sample_cohort(io.load_dgp_config(CONFIGS / "demo_dgp.json"), 2000, seed=5)
     path = tmp_path / "c.csv"
     io.write_cohort(path, cohort)
@@ -663,9 +826,9 @@ def test_well_formed_files_never_reach_the_row_by_row_reader(tmp_path, monkeypat
     shuffled.with_name("shuffled.csv.json").write_bytes(path.with_name("c.csv.json").read_bytes())
 
     def fail(*args):
-        raise AssertionError("the row-by-row reader ran")
+        raise AssertionError("the csv lexer ran")
 
-    monkeypatch.setattr(io, "_parse_rows", fail)
+    monkeypatch.setattr(io, "_lex_csv", fail)
     assert io.read_cohort(path)[0] == cohort
     seen = list(dict.fromkeys(int(line.split(b",")[0]) for line in lines))  # subjects by first appearance
     assert io.read_cohort(shuffled)[0].subjects == tuple(cohort.subjects[i] for i in seen)
