@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-# gest and mle load scipy: the commands that run them import them
+# gest and mle are imported by the commands that run them; mle, and gest for a root
+# in several components, load scipy
 from . import cfsim as cfsim_mod
 from . import dgp as dgp_mod
 from . import gcomp as gcomp_mod

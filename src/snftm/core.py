@@ -43,6 +43,7 @@ __all__ = [
     "require_visits",
     "is_evaluable",
     "all_regimes",
+    "chi2_sf",
 ]
 
 CovariateHistory = tuple[int, ...]
@@ -610,3 +611,30 @@ def all_regimes(covariate_levels, treatment_levels, cap: int = 10_000):
         ]
         regimes.append(TreatmentRegime.from_tables(tables, label=f"sampled{i}"))
     return regimes, True
+
+
+def chi2_sf(df: int, x: float) -> float:
+    """The chi-square survival function ``P(X > x)`` on ``df`` (a positive
+    integer) degrees of freedom, in closed form (Abramowitz & Stegun
+    26.4.4-26.4.5): ``erfc(sqrt(x / 2))`` plus a finite sum for odd ``df``,
+    a Poisson sum for even ``df``.  Clamped to [0, 1]; NaN for a NaN or
+    negative ``x``, as ``scipy.special.chdtrc``.  Each term is built from
+    ``exp(-x / 2)``, which underflows past ``x`` of about 1,490: the tail is
+    then below 1e-300 for the few degrees of freedom the estimators make."""
+    x = float(x)
+    if not x >= 0.0:
+        return math.nan
+    if x == math.inf:
+        return 0.0
+    if df % 2:
+        q = math.erfc(math.sqrt(0.5 * x))
+        term = math.exp(-0.5 * x) * math.sqrt(2.0 / math.pi * x)
+        for r in range(1, df // 2 + 1):
+            q += term
+            term *= x / (2 * r + 1)
+    else:
+        q, term = 0.0, math.exp(-0.5 * x)
+        for r in range(1, df // 2 + 1):
+            q += term
+            term *= 0.5 * x / r
+    return min(max(q, 0.0), 1.0)

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import (
     BracketError,
@@ -29,6 +28,7 @@ from .core import (
     SeparationError,
     SnftmError,
     WeakIdentificationError,
+    chi2_sf,
 )
 from .shift import PSI_DIM, BlipTable, ShiftParams
 
@@ -87,6 +87,8 @@ _CI_LEVEL = 0.05  # a confidence-set point is accepted where the score test's p-
 _NEWTON_TOL = 1e-10  # a logistic fit converges once its largest |standardized score| is below this
 _NEWTON_MAX_ITER = 120
 _SLOPE_STEP = 1e-4  # relative central-difference step of the estimating equation's slope
+_BRENT_RTOL = 4 * np.finfo(float).eps  # Brent's method: relative root tolerance, scipy's default and least
+_BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -238,13 +240,24 @@ class _GestData:
     @cached_property
     def null_fit(self) -> _NullFit:
         theta0, _, _, _ = _logistic_newton(self.history.Fs, self.history.scale, self.y)
-        p0 = special.expit(self.F @ theta0)
+        p0 = _expit(self.F @ theta0)
         r, w = self.y - p0, p0 * (1.0 - p0)
         Fw = self.F * w[:, None]
         per_subject = lambda x: np.bincount(self.row_subject, weights=x, minlength=self.n_subjects)
         FW = np.column_stack([per_subject(x) for x in Fw.T])
         FR = np.column_stack([per_subject(x * r) for x in self.F.T])
         return _NullFit(theta0, Fw.T @ self.F, per_subject(r), per_subject(w), FW, FR)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``, scipy's ``expit`` formula,
+    computed in place in a new array; ``exp`` overflows to ``inf`` for
+    ``x < -709``, which gives 0, as it should."""
+    p = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    return np.reciprocal(p, out=p)
 
 
 def _log1pexp(x: np.ndarray) -> np.ndarray:
@@ -277,7 +290,7 @@ def _logistic_newton(
     eta = Xs @ beta
     ll = _loglik(y, eta)
     for _ in range(_NEWTON_MAX_ITER):
-        p = special.expit(eta)
+        p = _expit(eta)
         score = Xs.T @ (y - p)
         if float(np.max(np.abs(score))) < _NEWTON_TOL:
             if float(np.max(np.abs(beta))) > 15.0:
@@ -420,9 +433,9 @@ def g_test(cohort: Cohort, spec: TreatmentModelSpec, psi0=None) -> GTestReport:
     return GTestReport(
         df=df,
         score=stat,
-        score_p=float(special.chdtrc(df, stat)),
+        score_p=chi2_sf(df, stat),
         wald=wald,
-        wald_p=float(special.chdtrc(d, wald)),
+        wald_p=chi2_sf(d, wald),
         alpha=fit.alpha,
         alpha_se=fit.alpha_se,
         n_records=fit.n_records,
@@ -506,6 +519,56 @@ def _slope(data: _GestData, active) -> np.ndarray:
     ])
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = _BRENT_MAX_ITER) -> float:
+    """A root of ``f`` in ``[xa, xb]``, where ``f`` changes sign, by Brent's
+    method (Brent 1973, *Algorithms for Minimization without Derivatives*,
+    ch. 4), ported step for step from scipy's ``brentq.c``: with the same
+    tolerances it returns the same root, bit for bit.  Raises
+    ``ConvergenceError`` with the last iterate when ``maxiter`` iterations
+    do not meet the tolerance ``xtol + 4 eps |x|``."""
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise BracketError(f"no sign change on [{xpre}, {xcur}]: values {fpre:.4g}, {fcur:.4g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is then inf or NaN, which fails the test below
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations", best=xcur)
+
+
 @dataclass(frozen=True)
 class PsiEstimate:
     """Root of the augmentation score and fitted coefficient, with test-inversion confidence
@@ -554,8 +617,6 @@ def estimate_psi(
     component only, is the score test at each point of a grid of at most
     ``MAX_CI_GRID_POINTS``.
     """
-    from scipy import optimize  # deferred: g_test needs only scipy.special
-
     data = _GestData(cohort, spec)
     d = _just_identified(spec)
     box = [tuple(map(float, b)) for b in box]
@@ -581,7 +642,7 @@ def estimate_psi(
                 roots.append(a)
                 continue
             if fa * fb < 0.0:
-                roots.append(optimize.brentq(score, a, b, xtol=1e-10))
+                roots.append(_brentq(score, a, b, xtol=1e-10))
         if vals[-1] == 0.0:
             roots.append(grid[-1])
         if not roots:
@@ -593,6 +654,8 @@ def estimate_psi(
         active_hat = np.array([roots[best]])
         all_roots = tuple((float(r),) for r in roots)
     else:
+        from scipy import optimize  # deferred: only a root in several components loads scipy
+
         axes = [np.linspace(lo, hi, 5) for lo, hi in box]
         points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
         start = min(points, key=lambda pt: np.linalg.norm(_mean_score(data, pt)))
@@ -618,7 +681,7 @@ def estimate_psi(
         G = data.g_columns(vec)
         data.history.augment(G[data.row_subject])  # a collinear G fails here, not in the score test's solve
         trace[idx], _ = _score_test(data, vec, G)
-    mask = special.chdtrc(d, trace) >= _CI_LEVEL
+    mask = np.array([chi2_sf(d, t) >= _CI_LEVEL for t in trace], dtype=bool)
 
     return PsiEstimate(
         psi=spec.embed(active_hat),

@@ -39,7 +39,7 @@ from .cfsim import FittedWorld
 from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
 from .shift import PSI_DIM, ShiftParams
 
-if TYPE_CHECKING:  # gest and mle load scipy; their codecs import them when called
+if TYPE_CHECKING:  # the codecs import gest and mle when called: only a command that fits loads them
     from .gest import TreatmentModelSpec
     from .mle import ParametricModel
 
@@ -158,12 +158,7 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     line, and an integer beyond int64 one naming its line and column.
     """
     side_path = _sidecar_path(path)
-    try:
-        meta = json.loads(side_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CohortFormatError(f"missing sidecar config {side_path}") from None
-    except json.JSONDecodeError as e:
-        raise CohortFormatError(f"{side_path}: invalid JSON at line {e.lineno} column {e.colno}") from None
+    meta = _load_json(side_path, missing=f"missing sidecar config {side_path}")
     if not isinstance(meta, dict) or "taus" not in meta:
         raise CohortFormatError(f"{side_path}: missing field 'taus'")
     grid = TimeGrid(tuple(_list_field(meta, "taus", side_path)))
@@ -416,11 +411,16 @@ def dgp_config_from_dict(d: dict) -> DgpConfig:
         raise CohortFormatError(f"world config is missing field {e}") from None
 
 
-def _load_json(path) -> dict:
+def _load_json(path, missing: str | None = None) -> dict:
+    """The JSON document in UTF-8 file ``path``; a missing file (reported as
+    ``missing`` when given), bytes that are not UTF-8 and invalid JSON are
+    ``CohortFormatError``s naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise CohortFormatError(f"no such file: {path}") from None
+        raise CohortFormatError(missing or f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise CohortFormatError(f"{path}: not UTF-8 text at byte {e.start} ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise CohortFormatError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
 

@@ -30,6 +30,7 @@ from .core import (
     SurvivalCurve,
     TimeGrid,
     Trajectory,
+    chi2_sf,
     first_seen,
 )
 from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, gamma_deriv
@@ -407,11 +408,11 @@ def test_null(cohort: Cohort, fitted: MleFit) -> MleTestReport:
     return MleTestReport(
         df=d,
         lr=lr,
-        lr_p=float(special.chdtrc(d, lr)),
+        lr_p=chi2_sf(d, lr),
         wald=wald,
-        wald_p=float(special.chdtrc(d, wald)),
+        wald_p=chi2_sf(d, wald),
         score=score,
-        score_p=float(special.chdtrc(d, score)),
+        score_p=chi2_sf(d, score),
         loglik_full=fitted.loglik,
         loglik_null=restricted.loglik,
     )

@@ -157,7 +157,9 @@ COHORT = "<cohort>"
           "--n", 200, "--out", "cf.csv"), "scipy"),
         (("verify", "--dgp", CONFIGS / "demo_dgp_null.json", "--suite", "null", "--out", "v.json"), "scipy"),
         (("gtest", "--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json", "--out", "t.json"),
-         "scipy.optimize"),
+         "scipy"),
+        (("estimate", "--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json", "--box=-1.5:0.5",
+          "--out", "e.json"), "scipy"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, small_cohort, argv, unloaded):
@@ -169,6 +171,18 @@ def test_each_command_loads_only_what_it_runs(tmp_path, small_cohort, argv, unlo
 def test_domain_error_exit_code(tmp_path):
     missing = tmp_path / "nope.json"
     assert run_cli("verify", "--dgp", missing) == 1
+
+
+@pytest.mark.parametrize("command", [("verify", "--dgp"), ("gtest", "--cohort", "c.csv", "--spec")])
+def test_non_utf8_json_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    """A config whose bytes are not UTF-8 is a domain error naming the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_text("id,k,tau_k,L1,A,T_event\n0,0,0.0,0,0,\n0,1,,,,0.5\n")
+    (tmp_path / "c.csv.json").write_text('{"taus": [0.0, 1.0]}')
+    (tmp_path / "bad.json").write_bytes(b'{"psi0": "\xff"}')
+    assert run_cli(*command, "bad.json") == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("snftm: error:")]
+    assert errors == ["snftm: error: bad.json: not UTF-8 text at byte 10 (invalid start byte)"]
 
 
 def test_usage_error_exit_code():

@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from snftm import dgp, gest
 from snftm.core import (
@@ -149,6 +149,101 @@ def test_log1pexp_matches_logaddexp():
     finite = np.isfinite(want)
     np.testing.assert_array_equal(got[~finite], want[~finite])
     assert np.all(np.abs(got[finite] - want[finite]) <= 2.0 * np.spacing(np.abs(want[finite])))
+
+
+def test_expit_is_scipys_formula_on_numpys_exp():
+    """``_expit`` and ``special.expit`` both compute ``1 / (1 + exp(-x))``; they
+    differ only in ``exp``, numpy's against libm's, which are within 1 ulp.
+    Rounding ``1 + exp(-x)`` can double that gap: the largest seen is 2.2 eps
+    relative, near x = -36.8, where ``exp(-x)`` is close to 2**53."""
+    x = np.concatenate([np.linspace(-709.0, 800.0, 150_001), _EXTREMES[:-1]])
+    libm_exp = np.array([math.exp(-v) for v in x])
+    assert np.all(np.abs(np.exp(-x) - libm_exp) <= np.spacing(libm_exp))
+    np.testing.assert_array_equal(special.expit(x), 1.0 / (1.0 + libm_exp))
+    got, want = gest._expit(x), special.expit(x)
+    np.testing.assert_array_equal(got, 1.0 / (1.0 + np.exp(-x)))
+    assert np.all(np.abs(got - want) <= 3.0 * np.finfo(float).eps * want)
+
+
+def test_expit_extremes_raise_no_warning():
+    x = np.array([1000.0, -1000.0, math.inf, -math.inf, math.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = gest._expit(x)
+    np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, math.nan])
+
+
+_BRENT_FUNCTIONS = {
+    "linear": lambda r, c: lambda x: c * (x - r),
+    "cubic": lambda r, c: lambda x: (x - r) ** 3 + c * (x - r),
+    "tanh": lambda r, c: lambda x: math.tanh(c * (x - r)) * (2.0 + math.cos(x)),
+    "exp": lambda r, c: lambda x: math.exp(c * x) - math.exp(c * r),
+    "wiggle": lambda r, c: lambda x: (x - r) * (1.0 + c * c + math.sin(7.0 * c * x)),
+    "tiny": lambda r, c: lambda x: 1e-310 * c * (x - r),
+}
+
+
+def _brent_pair(f, a, b, xtol, maxiter=100):
+    """``scipy.optimize.brentq``'s root, or its last iterate when it runs out of
+    iterations, beside ``gest._brentq``'s root or ``ConvergenceError.best``."""
+    want, info = optimize.brentq(f, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
+    try:
+        got = gest._brentq(f, a, b, xtol, maxiter)
+        converged = True
+    except ConvergenceError as e:
+        got, converged = e.best, False
+    assert converged == info.converged
+    return got, want
+
+
+@given(
+    kind=st.sampled_from(sorted(_BRENT_FUNCTIONS)),
+    r=st.floats(-5.0, 5.0),
+    c=st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 0.05),
+    a=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+    xtol=st.floats(1e-14, 0.1),
+    maxiter=st.sampled_from([100, 100, 4, 1, 0]),
+)
+@settings(max_examples=500, deadline=None)
+# coarse tolerances, where the short-step test's ``- delta`` picks the step
+@example(kind="exp", r=-2.91, c=1.25, a=-4.4, b=4.8, xtol=0.1, maxiter=100)
+@example(kind="tanh", r=1.47, c=-1.47, a=-7.7, b=6.4, xtol=0.03, maxiter=100)
+@example(kind="wiggle", r=0.91, c=-0.18, a=-3.0, b=5.3, xtol=0.1, maxiter=100)
+def test_brentq_is_scipys_brentq_bit_for_bit(kind, r, c, a, b, xtol, maxiter):
+    f = _BRENT_FUNCTIONS[kind](r, c)
+    fa, fb = f(a), f(b)
+    assume(fa == 0.0 or fb == 0.0 or math.copysign(1.0, fa) != math.copysign(1.0, fb))
+    got, want = _brent_pair(f, a, b, xtol, maxiter)
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", sorted(_BRENT_FUNCTIONS))
+@pytest.mark.parametrize("a, b", [(-1.25, 2.0), (2.0, -1.25), (0.5, 2.0), (-1.25, 0.5)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_brentq_endpoints_and_sign_orders(kind, a, b, sign):
+    """Both orders of the bracket and of the sign change, and a root at either
+    endpoint (``r = 0.5``), which is returned as it is."""
+    g = _BRENT_FUNCTIONS[kind](0.5, 1.3)
+    f = lambda x: sign * g(x)
+    got, want = _brent_pair(f, a, b, 1e-10)
+    assert got.hex() == want.hex()
+    if 0.5 in (a, b):
+        assert got == 0.5
+
+
+def test_brentq_out_of_iterations_raises_with_best():
+    f = _BRENT_FUNCTIONS["wiggle"](0.3, 1.1)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as err:
+        gest._brentq(f, -4.0, 5.0, 1e-12, maxiter=3)
+    want, info = optimize.brentq(f, -4.0, 5.0, xtol=1e-12, maxiter=3, full_output=True, disp=False)
+    assert not info.converged and err.value.best == want
+    assert gest._brentq(f, -4.0, 5.0, 1e-12) == optimize.brentq(f, -4.0, 5.0, xtol=1e-12)
+
+
+def test_brentq_without_a_sign_change_is_a_bracket_error():
+    with pytest.raises(BracketError, match="no sign change"):
+        gest._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
 
 
 def _reference_rank_margin(F, G):

@@ -42,8 +42,25 @@ def test_cohort_round_trip(tmp_path, rich_config):
 def test_missing_sidecar(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("id,k,tau_k,L1,A,T_event\n0,0,0.0,0,0,\n0,1,,,,0.5\n")
-    with pytest.raises(CohortFormatError, match="sidecar"):
+    with pytest.raises(CohortFormatError, match=r"^missing sidecar config .*x\.csv\.json$"):
         io.read_cohort(p)
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    (b'{"taus": [0.0, 1.0], "note": "\xff"}', r"x\.csv\.json: not UTF-8 text at byte 30"),
+    (b'{"taus": [0.0, 1.0]', r"x\.csv\.json: invalid JSON at line 1 column 20"),
+])
+def test_unreadable_sidecar_names_the_file(tmp_path, capsys, sidecar, message):
+    from snftm import cli
+
+    p = tmp_path / "x.csv"
+    p.write_text("id,k,tau_k,L1,A,T_event\n0,0,0.0,0,0,\n0,1,,,,0.5\n")
+    (tmp_path / "x.csv.json").write_bytes(sidecar)
+    with pytest.raises(CohortFormatError, match=message):
+        io.read_cohort(p)
+    assert cli.main(["gtest", "--cohort", str(p), "--spec", str(CONFIGS / "treatment_model.json")]) == 1
+    err = capsys.readouterr().err
+    assert "snftm: error:" in err and "Traceback" not in err, err
 
 
 def test_bad_header_reports_columns(tmp_path):
