@@ -26,7 +26,7 @@ from .core import (
     UndefinedCellError,
     require_visits,
 )
-from .dgp import DgpConfig
+from .dgp import DgpConfig, prognosis_thresholds
 from .gcomp import SampledSurvival
 from .shift import BlipTable, ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up_array
 
@@ -48,6 +48,9 @@ class FittedWorld:
     thresholds: tuple[float, ...]
     baseline: object
     covariate_laws: Mapping[tuple, np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "thresholds", prognosis_thresholds(self.thresholds))
 
     def draw_baseline(self, u):
         """Inverse-distribution draw from the baseline, ``u`` uniform in [0, 1)
@@ -80,7 +83,7 @@ class FittedWorld:
         return cls(
             grid=cohort.grid,
             psi=psi,
-            thresholds=tuple(float(c) for c in thresholds),
+            thresholds=thresholds,
             baseline=np.sort(t0s),
             covariate_laws=laws,
         )

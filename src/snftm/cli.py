@@ -308,8 +308,9 @@ def main(argv=None) -> int:
     _log_run(args.command, args)
     try:
         return args.func(args)
-    except SnftmError as e:
-        print(f"snftm: error: {e}", file=sys.stderr)
+    except (SnftmError, OSError) as e:  # an OSError: a path that cannot be read or written, such as a directory
+        path = isinstance(e, OSError) and (e.filename2 or e.filename)  # a failed rename names its target second
+        print(f"snftm: error: {e.strerror}: {path}" if path else f"snftm: error: {e}", file=sys.stderr)
         return 1
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "NonIdentifiableError",
     "StructuralZeroError",
     "CohortFormatError",
+    "finite_increasing",
     "TimeGrid",
     "SurvivalCurve",
     "Trajectory",
@@ -110,6 +111,11 @@ class CohortFormatError(SnftmError):
 # Time grid
 
 
+def finite_increasing(values) -> bool:
+    """Whether ``values`` are finite and strictly increasing (NaN is neither)."""
+    return all(a < b for a, b in itertools.pairwise((-math.inf, *values, math.inf)))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Fixed visit times ``tau_0 = 0 < tau_1 < ... < tau_K``.
@@ -124,12 +130,8 @@ class TimeGrid:
     def __post_init__(self):
         taus = tuple(float(t) for t in self.taus)
         object.__setattr__(self, "taus", taus)
-        if len(taus) < 2:
-            raise GridBoundsError("a grid needs at least two visit times (K >= 1)")
-        if taus[0] != 0.0:
-            raise GridBoundsError(f"tau_0 must be 0, got {taus[0]}")
-        if any(b <= a for a, b in zip(taus, taus[1:])):
-            raise GridBoundsError(f"visit times must be strictly increasing: {taus}")
+        if len(taus) < 2 or taus[0] != 0.0 or not finite_increasing(taus):
+            raise GridBoundsError(f"field 'taus' must be 0.0 then more finite, strictly increasing times, got {taus}")
         object.__setattr__(self, "_taus_arr", np.asarray(taus))
 
     @property
@@ -192,12 +194,10 @@ class SurvivalCurve:
         object.__setattr__(self, "rates", rates)
         if len(bounds) != len(rates) or not bounds:
             raise CurveDomainError("need one rate per breakpoint")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise CurveDomainError(f"breakpoints must be strictly increasing: {bounds}")
+        if not finite_increasing(bounds):
+            raise CurveDomainError(f"field 'bounds' must be finite and strictly increasing, got {bounds}")
         if any(not math.isfinite(r) or r < 0.0 for r in rates):
             raise CurveDomainError(f"hazard rates must be finite and >= 0: {rates}")
-        if not all(map(math.isfinite, bounds)):
-            raise CurveDomainError(f"breakpoints must be finite: {bounds}")
         cum = itertools.accumulate((r * (hi - lo) for r, lo, hi in zip(rates, bounds, bounds[1:])), initial=0.0)
         object.__setattr__(self, "_cumhaz", tuple(cum))
 

@@ -30,6 +30,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     UndefinedCellError,
+    finite_increasing,
 )
 from .shift import ShiftModel, ShiftParams, in_chunks, per_distinct, walk_up_array
 
@@ -37,6 +38,7 @@ __all__ = [
     "CovariateLaw",
     "TreatmentLaw",
     "DgpConfig",
+    "prognosis_thresholds",
     "sample_trajectory",
     "sample_cohort",
 ]
@@ -199,6 +201,14 @@ class TreatmentLaw:
         return cls((2,) * n_visits, table, spec)
 
 
+def prognosis_thresholds(values) -> tuple[float, ...]:
+    """``values`` as the prognosis thresholds that cut the never-treated time into bins."""
+    cuts = tuple(float(c) for c in values)
+    if not finite_increasing((0.0, *cuts)):
+        raise CohortFormatError(f"field 'thresholds' must be positive and strictly increasing, all finite, got {cuts}")
+    return cuts
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Everything needed to draw one synthetic world.
@@ -218,15 +228,9 @@ class DgpConfig:
     seed: int = _rng.DEFAULT_SEED
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
-        if any(c <= 0 for c in self.thresholds):
-            raise CohortFormatError("prognosis thresholds must be positive")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise CohortFormatError("prognosis thresholds must be strictly increasing")
-        if self.baseline.support_start != 0.0:
-            raise CohortFormatError("the baseline survival curve must start at 0")
-        if any(r <= 0.0 for r in self.baseline.rates):
-            raise CohortFormatError("baseline hazard rates must be strictly positive")
+        object.__setattr__(self, "thresholds", prognosis_thresholds(self.thresholds))
+        if self.baseline.support_start != 0.0 or min(self.baseline.rates) <= 0.0:
+            raise CohortFormatError("field 'baseline' must start at 0 with positive hazard rates")
         n_visits = self.grid.K + 1
         if len(self.covariate_law.levels) != n_visits or len(self.treatment_law.levels) != n_visits:
             raise CohortFormatError("law level declarations must cover every visit")

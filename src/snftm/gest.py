@@ -29,6 +29,7 @@ from .core import (
     SnftmError,
     WeakIdentificationError,
     chi2_sf,
+    finite_increasing,
 )
 from .shift import PSI_DIM, BlipTable, ShiftParams
 
@@ -61,6 +62,16 @@ class GFeature:
     log: bool = False
     powers: int = 1
     knots: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.clip is not None and not (self.clip[0] < self.clip[1] and (self.clip[1] > 0.0 or not self.log)):
+            raise SnftmError(f"field 'clip' must be [lo, hi] with lo < hi, and hi > 0 under log, got {self.clip}")
+        if not self.powers >= 1:
+            raise SnftmError(f"field 'powers' must be at least 1, got {self.powers}")
+        if not finite_increasing((0.0, *self.knots)):
+            raise SnftmError(f"field 'knots' must be positive and strictly increasing, all finite, got {self.knots}")
+        if self.knots and self.powers != 1:
+            raise SnftmError(f"field 'powers' must be 1 when knots are given (knots set columns), got {self.powers}")
 
     @property
     def dim(self) -> int:
@@ -105,13 +116,10 @@ class TreatmentModelSpec:
     components: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        for term in self.f_terms:
-            if term not in _F_TERMS:
-                raise SnftmError(f"unknown history feature {term!r}; pick from {_F_TERMS}")
-        if len(set(self.components)) != len(self.components) or any(
-            not 0 <= c < PSI_DIM for c in self.components
-        ):
-            raise SnftmError(f"invalid free-component list {self.components}")
+        if not self.f_terms or not set(self.f_terms) <= set(_F_TERMS):
+            raise SnftmError(f"field 'f_terms' must be a non-empty list of terms from {_F_TERMS}, got {self.f_terms}")
+        if len(set(self.components)) != len(self.components) or not all(0 <= c < PSI_DIM for c in self.components):
+            raise SnftmError(f"field 'components' must be distinct indices below {PSI_DIM}, got {self.components}")
 
     def embed(self, active: np.ndarray) -> np.ndarray:
         psi = np.zeros(PSI_DIM)

@@ -12,6 +12,7 @@ one of two lexers and makes every check in one checker.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -31,12 +32,13 @@ from .core import (
     Cohort,
     CohortFormatError,
     CurveDomainError,
+    SnftmError,
     SurvivalCurve,
     TimeGrid,
     TreatmentRegime,
 )
 from .cfsim import FittedWorld
-from .dgp import CovariateLaw, DgpConfig, TreatmentLaw
+from .dgp import CovariateLaw, DgpConfig, TreatmentLaw, prognosis_thresholds
 from .shift import PSI_DIM, ShiftParams
 
 if TYPE_CHECKING:  # the codecs import gest and mle when called: only a command that fits loads them
@@ -132,14 +134,13 @@ def _list_field(d: dict, name: str, where, length: int | None = None, ints: bool
     return raw
 
 
-def _increasing(values) -> bool:
-    return all(b > a for a, b in zip(values, values[1:]))
-
-
-def _require(ok: bool, where, name: str, rule: str, got):
-    """A well-typed field ``name`` whose value breaks ``rule`` is a format error naming it."""
-    if not ok:
-        raise CohortFormatError(f"{where}: field {name!r} must be {rule}, got {got!r}")
+@contextlib.contextmanager
+def _prefixed(where):
+    """A value rule that a constructor inside breaks is one ``CohortFormatError`` prefixed with ``where``."""
+    try:
+        yield
+    except (SnftmError, ValueError) as e:
+        raise CohortFormatError(f"{where}: {e}") from None
 
 
 def read_cohort(path) -> tuple[Cohort, dict]:
@@ -500,7 +501,7 @@ def _field(d: dict, name: str, where, default, ok, what: str):
 def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     """The treatment spec of ``d``.  ``psi_dim``, which older files carry,
     is accepted only as the model's ``PSI_DIM``."""
-    from .gest import _F_TERMS, GFeature, TreatmentModelSpec
+    from .gest import GFeature, TreatmentModelSpec
 
     what, where_g = "treatment spec", "treatment spec 'g'"
     _known_keys(d, ("f_terms", "g", "components", "psi_dim"), what)
@@ -508,26 +509,15 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     g = _known_keys(d.get("g", {}), ("clip", "log", "powers", "knots"), where_g)
     names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
     f_terms = _field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")
-    _require(len(f_terms) > 0 and set(f_terms) <= set(_F_TERMS), what, "f_terms",
-             f"a non-empty list of terms from {list(_F_TERMS)}", f_terms)
     log = _field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false")
     clip = None if g.get("clip") is None else _list_field(g, "clip", where_g, 2)
-    _require(clip is None or clip[0] < clip[1] and (clip[1] > 0.0 or not log), where_g, "clip",
-             "[lo, hi] with lo < hi, and hi > 0 under log", clip)
     powers = _field(g, "powers", where_g, 1, _is_count, "a non-negative integer")
-    _require(powers >= 1, where_g, "powers", "at least 1", powers)
     knots = [] if g.get("knots") is None else _list_field(g, "knots", where_g)
-    _require(all(k > 0.0 for k in knots) and _increasing(knots), where_g, "knots",
-             "positive and strictly increasing", knots)
-    _require(powers == 1 or not knots, where_g, "powers", "1 when knots are given (knots set the columns)", powers)
     components = _list_field(d, "components", what, ints=True) if "components" in d else [0]
-    _require(len(set(components)) == len(components) and all(c < PSI_DIM for c in components), what,
-             "components", f"distinct indices below {PSI_DIM}", components)
-    return TreatmentModelSpec(
-        f_terms=tuple(f_terms),
-        g=GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers, knots=tuple(knots)),
-        components=tuple(components),
-    )
+    with _prefixed(where_g):
+        feature = GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers, knots=tuple(knots))
+    with _prefixed(what):
+        return TreatmentModelSpec(f_terms=tuple(f_terms), g=feature, components=tuple(components))
 
 
 def treatment_spec_to_dict(spec: TreatmentModelSpec) -> dict:
@@ -555,16 +545,10 @@ def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
     what = "mle template"
     _known_keys(d, ("baseline_bounds", "bins", "psi_init"), what, ("baseline_bounds",))
     bounds = _list_field(d, "baseline_bounds", what)
-    _require(bounds[:1] == [0.0] and _increasing(bounds), what, "baseline_bounds",
-             "a strictly increasing list that starts at 0.0", bounds)
     bins = _list_field(d, "bins", what) if "bins" in d else []
-    _require(all(c > 0.0 for c in bins) and _increasing(bins), what, "bins", "positive and strictly increasing", bins)
-    return ParametricModel.template(
-        grid,
-        tuple(bounds),
-        tuple(bins),
-        psi_init=None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, PSI_DIM))),
-    )
+    psi_init = None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, PSI_DIM)))
+    with _prefixed(what):
+        return ParametricModel.template(grid, bounds, bins, psi_init=psi_init)
 
 
 def load_mle_template(path, grid: TimeGrid) -> ParametricModel:
@@ -589,9 +573,9 @@ def load_fitted_world(path) -> FittedWorld:
     psi = ShiftParams(tuple(_list_field(spec, "psi", what, PSI_DIM))) if "psi" in spec else None
     if kind == "dgp":
         return FittedWorld.from_dgp_config(load_dgp_config(Path(path).parent / spec["dgp"]), psi)
-    thresholds = tuple(_list_field(spec, "thresholds", what)) if "thresholds" in spec else ()
-    _require(all(c > 0.0 for c in thresholds) and _increasing(thresholds), what, "thresholds",
-             "positive and strictly increasing", list(thresholds))
+    thresholds = _list_field(spec, "thresholds", what) if "thresholds" in spec else []
+    with _prefixed(what):  # the world's own rule, checked before the cohort is read
+        thresholds = prognosis_thresholds(thresholds)
     cohort, _ = read_cohort(Path(path).parent / spec["cohort"])
     return FittedWorld.from_cohort(cohort, psi, thresholds)
 

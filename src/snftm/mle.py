@@ -31,15 +31,12 @@ from .core import (
     TimeGrid,
     Trajectory,
     chi2_sf,
+    finite_increasing,
     first_seen,
 )
 from .shift import BlipTable, ShiftModel, ShiftParams, blip_down, gamma_deriv
 
 __all__ = ["ParametricModel", "MleFit", "MleTestReport", "log_density", "fit", "profile_at", "test_null"]
-
-
-def _finite_increasing(values) -> bool:
-    return all(math.isfinite(v) for v in values) and all(b > a for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,11 @@ class ParametricModel:
 
     def __post_init__(self):
         bounds, bins = tuple(self.baseline_bounds), tuple(self.bins)
-        if bounds[:1] != (0.0,) or not _finite_increasing(bounds):
-            raise ValueError(f"baseline_bounds must start at 0.0 and be finite and strictly increasing, got {bounds}")
-        if not _finite_increasing((0.0, *bins)):
-            raise ValueError(f"bins must be positive, finite and strictly increasing, got {bins}")
+        if bounds[:1] != (0.0,) or not finite_increasing(bounds):
+            raise ValueError(f"field 'baseline_bounds' must be a strictly increasing list that starts at 0.0, "
+                             f"all finite, got {bounds}")
+        if not finite_increasing((0.0, *bins)):
+            raise ValueError(f"field 'bins' must be positive and strictly increasing, all finite, got {bins}")
 
     @classmethod
     def template(cls, grid, baseline_bounds, bins, psi_init=None) -> "ParametricModel":

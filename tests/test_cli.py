@@ -185,6 +185,33 @@ def test_non_utf8_json_is_one_error_line(tmp_path, capsys, monkeypatch, command)
     assert errors == ["snftm: error: bad.json: not UTF-8 text at byte 10 (invalid start byte)"]
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("verify", "--dgp", CONFIGS), str(CONFIGS)),
+        (("gtest", "--cohort", "dir.csv", "--spec", CONFIGS / "treatment_model.json"), "dir.csv"),
+        (("gtest", "--cohort", "gone.csv", "--spec", CONFIGS / "treatment_model.json"), "gone.csv"),
+        (("gtest", "--cohort", "c.csv", "--spec", CONFIGS / "treatment_model.json", "--out", "out"), "out"),
+        (("simulate", "--dgp", CONFIGS / "demo_dgp.json", "--n", 10, "--out", "out"), "out"),
+    ],
+)
+def test_file_system_errors_are_one_error_line(tmp_path, capsys, monkeypatch, small_cohort, argv, path):
+    """A directory, or a cohort CSV missing beside its sidecar, is a domain error naming the path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.csv").write_bytes(small_cohort.read_bytes())
+    for name in ("c", "dir", "gone"):
+        (tmp_path / f"{name}.csv.json").write_bytes(Path(f"{small_cohort}.json").read_bytes())
+    (tmp_path / "dir.csv").mkdir()
+    (tmp_path / "out").mkdir()
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    config, error = err.splitlines()
+    assert json.loads(config)["command"] == argv[0]
+    assert error.startswith("snftm: error: ") and error.endswith(path) and "Traceback" not in err, err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == []
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "snftm.cli", "frobnicate"],

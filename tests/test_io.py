@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tempfile
+from dataclasses import replace
 from io import StringIO
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from snftm import dgp, gest, io
+from snftm import cfsim, dgp, gest, io
 from snftm.core import (
     Cohort,
     CohortFormatError,
@@ -393,6 +394,38 @@ def test_unknown_spec_and_template_keys_are_rejected(rich_config):
         io.treatment_spec_from_dict({"g": [1]})
     with pytest.raises(CohortFormatError, match="'bin'"):
         io.mle_template_from_dict({"baseline_bounds": [0.0], "bin": [1.5]}, rich_config.grid)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: gest.GFeature(knots=(2.0, 1.0)), "knots"),
+        (lambda: gest.GFeature(knots=(0.0,)), "knots"),
+        (lambda: gest.GFeature(powers=0), "powers"),
+        (lambda: gest.GFeature(clip=(2.0, 1.0)), "clip"),
+        (lambda: gest.GFeature(clip=(-1.0, 0.0), log=True), "clip"),
+        (lambda: gest.GFeature(powers=3, knots=(1.0,)), "powers"),
+        (lambda: gest.TreatmentModelSpec(f_terms=()), "f_terms"),
+        (lambda: TimeGrid((0.0, math.nan)), "taus"),
+        (lambda: TimeGrid((0.0, 1.0, math.inf)), "taus"),
+        (lambda: replace(cfsim.FittedWorld.from_dgp_config(make_config()), thresholds=(1.5, 0.5)), "thresholds"),
+        (lambda: replace(cfsim.FittedWorld.from_dgp_config(make_config()), thresholds=(0.0,)), "thresholds"),
+        (lambda: replace(make_config(), thresholds=(1.0, math.inf)), "thresholds"),
+    ],
+)
+def test_constructors_reject_what_the_readers_reject(build, field):
+    with pytest.raises(SnftmError, match=f"field '{field}' must be"):
+        build()
+
+
+@pytest.mark.parametrize("spec, field", [
+    (lambda: gest.TreatmentModelSpec(f_terms=()), "f_terms"),
+    (lambda: gest.TreatmentModelSpec(g=gest.GFeature(powers=0)), "powers"),
+])
+def test_g_test_on_a_bad_python_spec_is_a_package_error(spec, field):
+    cohort = dgp.sample_cohort(make_config(), 200, seed=3)
+    with pytest.raises(SnftmError, match=f"field '{field}' must be"):
+        gest.g_test(cohort, spec())
 
 
 def _load_world(path):
