@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-# gest and mle are imported by the commands that run them; mle, and gest for a root
-# in several components, load scipy
+# gest and mle are imported by the commands that run them; mle loads scipy
 from . import cfsim as cfsim_mod
 from . import dgp as dgp_mod
 from . import gcomp as gcomp_mod

@@ -14,6 +14,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -64,12 +65,16 @@ class GFeature:
     knots: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.clip is not None and not (self.clip[0] < self.clip[1] and (self.clip[1] > 0.0 or not self.log)):
-            raise SnftmError(f"field 'clip' must be [lo, hi] with lo < hi, and hi > 0 under log, got {self.clip}")
-        if not self.powers >= 1:
-            raise SnftmError(f"field 'powers' must be at least 1, got {self.powers}")
-        if not finite_increasing((0.0, *self.knots)):
-            raise SnftmError(f"field 'knots' must be positive and strictly increasing, all finite, got {self.knots}")
+        clip, number = self.clip, lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if clip is not None and not (isinstance(clip, (tuple, list)) and len(clip) == 2 and all(map(number, clip))
+                                     and finite_increasing(clip) and (clip[1] > 0.0 or not self.log)):
+            raise SnftmError(f"field 'clip' must be [lo, hi] of finite numbers with lo < hi, and hi > 0 under log, "
+                             f"got {clip!r}")
+        if not (type(self.powers) is int and self.powers >= 1):
+            raise SnftmError(f"field 'powers' must be at least 1, as an integer, got {self.powers!r}")
+        if not (isinstance(self.knots, (tuple, list)) and all(map(number, self.knots))
+                and finite_increasing((0.0, *self.knots))):
+            raise SnftmError(f"field 'knots' must be positive and strictly increasing, all finite, got {self.knots!r}")
         if self.knots and self.powers != 1:
             raise SnftmError(f"field 'powers' must be 1 when knots are given (knots set columns), got {self.powers}")
 
@@ -77,18 +82,34 @@ class GFeature:
     def dim(self) -> int:
         return len(self.knots) + 1 if self.knots else self.powers
 
-    def design(self, t0: np.ndarray) -> np.ndarray:
+    def _transformed(self, t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``t0`` clipped, then logged, and the derivative of that in ``t0``:
+        0 outside the clip, ``1 / x`` after the log."""
         x = np.asarray(t0, dtype=float)
+        dx = np.ones_like(x)
         if self.clip is not None:
-            x = np.clip(x, self.clip[0], self.clip[1])
+            dx[(x <= self.clip[0]) | (x >= self.clip[1])] = 0.0
+            x = np.clip(x, *self.clip)
         if self.log:
+            dx /= x
             x = np.log(x)
+        return x, dx
+
+    def design(self, t0: np.ndarray) -> np.ndarray:
+        x, _ = self._transformed(t0)
         if self.knots:
-            edges = (0.0,) + tuple(self.knots) + (math.inf,)
-            return np.column_stack(
-                [np.clip(x - lo, 0.0, hi - lo) for lo, hi in zip(edges, edges[1:])]
-            )
+            edges = (0.0, *self.knots, math.inf)
+            return np.column_stack([np.clip(x - lo, 0.0, hi - lo) for lo, hi in zip(edges, edges[1:])])
         return np.column_stack([x**p for p in range(1, self.powers + 1)])
+
+    def slope(self, t0: np.ndarray) -> np.ndarray:
+        """The derivative of each ``design`` column in ``t0``: ``p x^(p-1)`` for
+        power ``p`` (1 for the identity), the segment's indicator for knots."""
+        x, dx = self._transformed(t0)
+        if self.knots:
+            edges = (0.0, *self.knots, math.inf)
+            return np.column_stack([((lo < x) & (x < hi)) * dx for lo, hi in zip(edges, edges[1:])])
+        return np.column_stack([p * x ** (p - 1) * dx for p in range(1, self.powers + 1)])
 
 
 _F_TERMS = ("intercept", "l", "l_prev", "a_prev", "k")
@@ -96,10 +117,8 @@ _N_SCAN = 9  # scan points bracketing the roots of one free component
 MAX_CI_GRID_POINTS = 100_000  # points of a confidence-set grid
 _CI_LEVEL = 0.05  # a confidence-set point is accepted where the score test's p-value is at least this
 _NEWTON_TOL = 1e-10  # a logistic fit converges once its largest |standardized score| is below this
-_NEWTON_MAX_ITER = 120
-_SLOPE_STEP = 1e-4  # relative central-difference step of the estimating equation's slope
-_BRENT_RTOL = 4 * np.finfo(float).eps  # Brent's method: relative root tolerance, scipy's default and least
-_BRENT_MAX_ITER = 100
+_NEWTON_MAX_ITER = 120  # iterations of a logistic fit or of a root search
+_ROOT_XTOL = 1e-10  # a root search stops once its step is shorter than this
 
 
 @dataclass(frozen=True)
@@ -118,8 +137,10 @@ class TreatmentModelSpec:
     def __post_init__(self):
         if not self.f_terms or not set(self.f_terms) <= set(_F_TERMS):
             raise SnftmError(f"field 'f_terms' must be a non-empty list of terms from {_F_TERMS}, got {self.f_terms}")
-        if len(set(self.components)) != len(self.components) or not all(0 <= c < PSI_DIM for c in self.components):
-            raise SnftmError(f"field 'components' must be distinct indices below {PSI_DIM}, got {self.components}")
+        components = self.components
+        if not all(type(c) is int and 0 <= c < PSI_DIM for c in components) or len(set(components)) != len(components):
+            raise SnftmError(f"field 'components' must be distinct indices below {PSI_DIM}, as integers, "
+                             f"got {components!r}")
 
     def embed(self, active: np.ndarray) -> np.ndarray:
         psi = np.zeros(PSI_DIM)
@@ -226,20 +247,15 @@ class _GestData:
         self.n_subjects = len(cohort)
         self.event_times = cohort.event_times
         self._cohort = cohort
-        self._blip: BlipTable | None = None
 
-    def blipped_times(self, psi: np.ndarray | None) -> np.ndarray:
-        """Per-subject blipped-down times; ``None`` means the identity shift,
-        which by construction never evaluates a shift map."""
-        if psi is None:
-            return self.event_times
-        if self._blip is None:
-            self._blip = BlipTable.from_cohort(self._cohort)
-        return self._blip.t0(np.asarray(psi, dtype=float))
+    @cached_property
+    def blip(self) -> BlipTable:
+        return BlipTable.from_cohort(self._cohort)
 
     def g_columns(self, psi: np.ndarray | None) -> np.ndarray:
-        """The augmentation columns at ``psi``, one row per subject."""
-        return self.spec.g.design(self.blipped_times(psi))
+        """The augmentation columns at ``psi``, one row per subject; ``None`` means
+        the identity shift, which by construction never evaluates a shift map."""
+        return self.spec.g.design(self.event_times if psi is None else self.blip.t0(np.asarray(psi, dtype=float)))
 
     @cached_property
     def history(self) -> _HistoryBlock:
@@ -467,9 +483,9 @@ def _h_matrix(data: _GestData, psi: np.ndarray | None) -> np.ndarray:
 def sandwich_variance(cohort: Cohort, spec: TreatmentModelSpec, psi_hat):
     """M-estimator variance of the shift estimate: the second moment of the
     per-subject estimating function over the squared slope of its mean in the
-    candidate parameter, slope by central finite differences.  The nuisance
-    (null treatment) fit does not depend on the candidate, so it is computed
-    once and shared by the estimate and both perturbed candidates.
+    candidate parameter, that slope in closed form.  The nuisance (null
+    treatment) fit does not depend on the candidate, so it is computed once
+    and shared by the estimating function and its slope.
 
     Returns ``(variance_matrix, se_vector)`` on the active components; the
     standard error already includes the 1/n factor.
@@ -518,63 +534,53 @@ def _mean_score(data: _GestData, active) -> np.ndarray:
 
 
 def _slope(data: _GestData, active) -> np.ndarray:
-    """Jacobian of ``_mean_score`` in the free components, by central differences."""
-    active = np.asarray(active, dtype=float)
-    steps = np.diag(_SLOPE_STEP * np.maximum(1.0, np.abs(active)))
-    return np.column_stack([
-        (_mean_score(data, active + e) - _mean_score(data, active - e)) / (2.0 * e[j])
-        for j, e in enumerate(steps)
-    ])
+    """Jacobian of ``_mean_score`` in the free components, in closed form:
+    ``G'(t0)^T R / n`` times ``d t0 / d psi``."""
+    psi, blip = data.spec.embed(active), data.blip
+    dG = data.spec.g.slope(blip.t0(psi)) * data.null_fit.R[:, None]
+    return dG.T @ blip.t0_slope(psi)[:, list(data.spec.components)] / data.n_subjects
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = _BRENT_MAX_ITER) -> float:
-    """A root of ``f`` in ``[xa, xb]``, where ``f`` changes sign, by Brent's
-    method (Brent 1973, *Algorithms for Minimization without Derivatives*,
-    ch. 4), ported step for step from scipy's ``brentq.c``: with the same
-    tolerances it returns the same root, bit for bit.  Raises
-    ``ConvergenceError`` with the last iterate when ``maxiter`` iterations
-    do not meet the tolerance ``xtol + 4 eps |x|``."""
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BracketError(f"no sign change on [{xpre}, {xcur}]: values {fpre:.4g}, {fcur:.4g}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # in C the step is then inf or NaN, which fails the test below
-                stry = math.inf
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise ConvergenceError(f"Brent's method did not converge in {maxiter} iterations", best=xcur)
+def _newton_in_bracket(f, df, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of ``f`` in ``[a, b]``, where ``f`` changes sign (``fa``, ``fb`` its
+    values there), by Newton's method on the slope ``df`` from the secant point,
+    safeguarded by bisection (``rtsafe``, Press et al., *Numerical Recipes*, 3rd
+    ed., sec. 9.4): it bisects whenever a Newton step would leave the bracket or
+    fail to halve the step before last, and stops once a step is shorter than ``_ROOT_XTOL``."""
+    lo, hi = (a, b) if fa < 0.0 else (b, a)  # f(lo) < 0 <= f(hi)
+    x, old, step = a - fa * (b - a) / (fb - fa), abs(b - a), abs(b - a)
+    for _ in range(_NEWTON_MAX_ITER):
+        fx, dfx = f(x), df(x)
+        if fx == 0.0:
+            return x
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        if ((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) <= 0.0 and abs(2.0 * fx) <= abs(old * dfx):
+            old, step = step, fx / dfx
+        else:  # bisect, as on a NaN value or slope
+            old, step = step, x - 0.5 * (lo + hi)
+        x, last = x - step, x
+        if abs(step) < _ROOT_XTOL or x == last:
+            return x
+    raise ConvergenceError(f"root search did not converge in {_NEWTON_MAX_ITER} iterations", best=x)
+
+
+def _damped_newton(f, df, x: np.ndarray) -> np.ndarray:
+    """A root of ``f`` from ``x`` by Newton steps on the Jacobian ``df``, each
+    halved until it lowers ``|f|``; stops once a full step is shorter than
+    ``_ROOT_XTOL``, and raises ``ConvergenceError`` with the last point when
+    no step longer than that lowers ``|f|``."""
+    fx = f(x)
+    for _ in range(_NEWTON_MAX_ITER):
+        step = np.linalg.lstsq(df(x), fx, rcond=None)[0]  # Newton's step; least squares on a singular slope
+        if np.max(np.abs(step)) < _ROOT_XTOL:
+            return x - step
+        while not np.linalg.norm(f_step := f(x - step)) < np.linalg.norm(fx):  # a NaN value halves too
+            step = step / 2.0
+            if not np.max(np.abs(step)) >= _ROOT_XTOL:  # so no step longer than that lowers |f|, or it is NaN
+                raise ConvergenceError(f"vector root search stalled at |score| {np.linalg.norm(fx):.3g}: no step "
+                                       "lowers it, the stacked equations may be weakly identified", best=x)
+        x, fx = x - step, f_step
+    raise ConvergenceError(f"vector root search did not converge in {_NEWTON_MAX_ITER} iterations", best=x)
 
 
 @dataclass(frozen=True)
@@ -616,11 +622,12 @@ def estimate_psi(
     score at the null treatment fit, which is also the root of the fitted
     augmentation coefficient, with a confidence set by test inversion.
 
-    One free component: bracket scan plus Brent's method.  All roots in the
-    box are reported; when there are several, the one with the smallest
-    ``|score|`` is primary.  Several free components: a root search, with the
-    sandwich's finite-difference slope, from the coarse-grid point of smallest
-    score norm; a search that stalls raises ``ConvergenceError``.  The null
+    Both searches step on the score's closed-form slope.  One free component:
+    a bracket scan, then Newton's method safeguarded by bisection in each
+    bracket.  All roots in the box are reported; when there are several, the
+    one with the smallest ``|score|`` is primary.  Several free components: a
+    damped Newton search from the coarse-grid point of smallest score norm; a
+    search that stalls raises ``ConvergenceError``.  The null
     treatment fit is the only logistic fit; the confidence set, one free
     component only, is the score test at each point of a grid of at most
     ``MAX_CI_GRID_POINTS``.
@@ -642,15 +649,15 @@ def estimate_psi(
 
     if d == 1:
         score = lambda x: _mean_score(data, [x])[0]
+        slope = lambda x: _slope(data, [x])[0, 0]
         grid = np.linspace(lo, hi, _N_SCAN)
         vals = np.array([score(x) for x in grid])
         roots = []
         for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
             if fa == 0.0:
                 roots.append(a)
-                continue
-            if fa * fb < 0.0:
-                roots.append(_brentq(score, a, b, xtol=1e-10))
+            elif fa * fb < 0.0:
+                roots.append(_newton_in_bracket(score, slope, a, b, fa, fb))
         if vals[-1] == 0.0:
             roots.append(grid[-1])
         if not roots:
@@ -662,22 +669,10 @@ def estimate_psi(
         active_hat = np.array([roots[best]])
         all_roots = tuple((float(r),) for r in roots)
     else:
-        from scipy import optimize  # deferred: only a root in several components loads scipy
-
         axes = [np.linspace(lo, hi, 5) for lo, hi in box]
         points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
         start = min(points, key=lambda pt: np.linalg.norm(_mean_score(data, pt)))
-        # hybr's own difference step is relative, so it vanishes at a zero start component
-        sol = optimize.root(
-            lambda x: _mean_score(data, x), start, jac=lambda x: _slope(data, x), tol=1e-12
-        )
-        if not sol.success:
-            raise ConvergenceError(
-                "vector root search stalled, the stacked equations may be weakly identified: "
-                + " ".join(sol.message.split()),  # hybr's messages hold line breaks
-                best=sol.x,
-            )
-        active_hat = np.asarray(sol.x)
+        active_hat = _damped_newton(lambda x: _mean_score(data, x), lambda x: _slope(data, x), start)
         all_roots = (tuple(float(v) for v in active_hat),)
 
     _, se, h = _sandwich(data, spec.embed(active_hat))

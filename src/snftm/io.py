@@ -12,7 +12,6 @@ one of two lexers and makes every check in one checker.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -134,11 +133,11 @@ def _list_field(d: dict, name: str, where, length: int | None = None, ints: bool
     return raw
 
 
-@contextlib.contextmanager
-def _prefixed(where):
-    """A value rule that a constructor inside breaks is one ``CohortFormatError`` prefixed with ``where``."""
+def _prefixed(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a constructor, with a value rule it breaks turned into one
+    ``CohortFormatError`` prefixed with ``where``; errors in reading the arguments keep their own."""
     try:
-        yield
+        return make(*args, **kwargs)
     except (SnftmError, ValueError) as e:
         raise CohortFormatError(f"{where}: {e}") from None
 
@@ -162,7 +161,7 @@ def read_cohort(path) -> tuple[Cohort, dict]:
     meta = _load_json(side_path, missing=f"missing sidecar config {side_path}")
     if not isinstance(meta, dict) or "taus" not in meta:
         raise CohortFormatError(f"{side_path}: missing field 'taus'")
-    grid = TimeGrid(tuple(_list_field(meta, "taus", side_path)))
+    grid = _prefixed(side_path, TimeGrid, tuple(_list_field(meta, "taus", side_path)))
     levels = [_list_field(meta, name, side_path, grid.K + 1, ints=True) if name in meta else [math.inf] * (grid.K + 1)
               for name in ("covariate_levels", "treatment_levels")]
     data = Path(path).read_bytes()
@@ -399,9 +398,11 @@ def dgp_config_from_dict(d: dict) -> DgpConfig:
     try:
         where = f"{what} 'baseline'"
         base = _known_keys(d["baseline"], ("bounds", "rates"), where, ("bounds", "rates"))
-        return DgpConfig(
-            grid=TimeGrid(tuple(_list_field(d, "taus", what))),
-            baseline=SurvivalCurve(*(tuple(_list_field(base, key, where)) for key in ("bounds", "rates"))),
+        curve = (tuple(_list_field(base, key, where)) for key in ("bounds", "rates"))
+        return _prefixed(
+            what, DgpConfig,
+            grid=_prefixed(what, TimeGrid, tuple(_list_field(d, "taus", what))),
+            baseline=_prefixed(what, SurvivalCurve, *curve),
             thresholds=tuple(_list_field(d, "thresholds", what)),
             covariate_law=_covariate_law_from_dict(d["covariate_law"]),
             treatment_law=_treatment_law_from_dict(d["treatment_law"]),
@@ -510,14 +511,12 @@ def treatment_spec_from_dict(d: dict) -> TreatmentModelSpec:
     names = lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
     f_terms = _field(d, "f_terms", what, ["intercept", "l", "a_prev"], names, "a list of strings")
     log = _field(g, "log", where_g, False, lambda v: type(v) is bool, "true or false")
-    clip = None if g.get("clip") is None else _list_field(g, "clip", where_g, 2)
+    clip = None if g.get("clip") is None else tuple(_list_field(g, "clip", where_g, 2))
     powers = _field(g, "powers", where_g, 1, _is_count, "a non-negative integer")
     knots = [] if g.get("knots") is None else _list_field(g, "knots", where_g)
     components = _list_field(d, "components", what, ints=True) if "components" in d else [0]
-    with _prefixed(where_g):
-        feature = GFeature(clip=tuple(clip) if clip else None, log=log, powers=powers, knots=tuple(knots))
-    with _prefixed(what):
-        return TreatmentModelSpec(f_terms=tuple(f_terms), g=feature, components=tuple(components))
+    feature = _prefixed(where_g, GFeature, clip=clip, log=log, powers=powers, knots=tuple(knots))
+    return _prefixed(what, TreatmentModelSpec, f_terms=tuple(f_terms), g=feature, components=tuple(components))
 
 
 def treatment_spec_to_dict(spec: TreatmentModelSpec) -> dict:
@@ -547,8 +546,7 @@ def mle_template_from_dict(d: dict, grid: TimeGrid) -> ParametricModel:
     bounds = _list_field(d, "baseline_bounds", what)
     bins = _list_field(d, "bins", what) if "bins" in d else []
     psi_init = None if d.get("psi_init") is None else ShiftParams(tuple(_list_field(d, "psi_init", what, PSI_DIM)))
-    with _prefixed(what):
-        return ParametricModel.template(grid, bounds, bins, psi_init=psi_init)
+    return _prefixed(what, ParametricModel.template, grid, bounds, bins, psi_init=psi_init)
 
 
 def load_mle_template(path, grid: TimeGrid) -> ParametricModel:
@@ -574,8 +572,7 @@ def load_fitted_world(path) -> FittedWorld:
     if kind == "dgp":
         return FittedWorld.from_dgp_config(load_dgp_config(Path(path).parent / spec["dgp"]), psi)
     thresholds = _list_field(spec, "thresholds", what) if "thresholds" in spec else []
-    with _prefixed(what):  # the world's own rule, checked before the cohort is read
-        thresholds = prognosis_thresholds(thresholds)
+    thresholds = _prefixed(what, prognosis_thresholds, thresholds)  # the world's own rule, before the cohort is read
     cohort, _ = read_cohort(Path(path).parent / spec["cohort"])
     return FittedWorld.from_cohort(cohort, psi, thresholds)
 

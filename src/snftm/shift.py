@@ -293,6 +293,13 @@ class BlipTable:
         s = np.exp(self.features @ np.asarray(psi, dtype=float))
         return self.base + ((self.W @ s + self.c0) + self.tail * s[self.terminal])
 
+    def t0_slope(self, psi: np.ndarray) -> np.ndarray:
+        """``d t0 / d psi`` for every subject: one row per subject, one column per component."""
+        s = np.exp(self.features @ np.asarray(psi, dtype=float))
+        ds = (s[:, None] * self.features).T  # d s_j / d psi, one column per kind
+        # built transposed: numpy broadcasts slowly along a short last axis
+        return (ds @ self.W.T + np.take(ds, self.terminal, axis=1) * self.tail).T
+
     def log_jacobian(self, psi: np.ndarray) -> np.ndarray:
         """Per-subject ``log d t0 / d T``: the innermost log scale factor."""
         return (self.features @ np.asarray(psi, dtype=float))[self.terminal]

@@ -136,8 +136,22 @@ def _loaded_under(package, code, cwd=None) -> list[str]:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    for module in ("snftm.cli", "snftm.io"):
+    for module in ("snftm.cli", "snftm.io", "snftm.gest"):
         assert _loaded_under("scipy", f"import {module}") == [], module
+
+
+def test_two_component_estimate_loads_no_scipy():
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path.insert(0, {tests!r})\n"
+        "from conftest import make_config\n"
+        "from snftm import dgp, gest\n"
+        "cohort = dgp.sample_cohort(make_config(psi0=(0.6, 0.0, -0.5)), 30_000, seed=41)\n"
+        "spec = gest.TreatmentModelSpec(g=gest.GFeature(knots=(1.2,)), components=(0, 2))\n"
+        "est = gest.estimate_psi(cohort, spec, [(-0.2, 1.2), (-1.2, 0.4)], compute_ci=False)\n"
+        "assert len(est.roots) == 1 and est.se.shape == (2,)"
+    )
+    assert _loaded_under("scipy", code) == []
 
 
 COHORT = "<cohort>"

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, special, stats
+from scipy import special, stats
 
 from snftm import dgp, gest
 from snftm.core import (
@@ -173,79 +174,6 @@ def test_expit_extremes_raise_no_warning():
     np.testing.assert_array_equal(got, [1.0, 0.0, 1.0, 0.0, math.nan])
 
 
-_BRENT_FUNCTIONS = {
-    "linear": lambda r, c: lambda x: c * (x - r),
-    "cubic": lambda r, c: lambda x: (x - r) ** 3 + c * (x - r),
-    "tanh": lambda r, c: lambda x: math.tanh(c * (x - r)) * (2.0 + math.cos(x)),
-    "exp": lambda r, c: lambda x: math.exp(c * x) - math.exp(c * r),
-    "wiggle": lambda r, c: lambda x: (x - r) * (1.0 + c * c + math.sin(7.0 * c * x)),
-    "tiny": lambda r, c: lambda x: 1e-310 * c * (x - r),
-}
-
-
-def _brent_pair(f, a, b, xtol, maxiter=100):
-    """``scipy.optimize.brentq``'s root, or its last iterate when it runs out of
-    iterations, beside ``gest._brentq``'s root or ``ConvergenceError.best``."""
-    want, info = optimize.brentq(f, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
-    try:
-        got = gest._brentq(f, a, b, xtol, maxiter)
-        converged = True
-    except ConvergenceError as e:
-        got, converged = e.best, False
-    assert converged == info.converged
-    return got, want
-
-
-@given(
-    kind=st.sampled_from(sorted(_BRENT_FUNCTIONS)),
-    r=st.floats(-5.0, 5.0),
-    c=st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 0.05),
-    a=st.floats(-10.0, 10.0),
-    b=st.floats(-10.0, 10.0),
-    xtol=st.floats(1e-14, 0.1),
-    maxiter=st.sampled_from([100, 100, 4, 1, 0]),
-)
-@settings(max_examples=500, deadline=None)
-# coarse tolerances, where the short-step test's ``- delta`` picks the step
-@example(kind="exp", r=-2.91, c=1.25, a=-4.4, b=4.8, xtol=0.1, maxiter=100)
-@example(kind="tanh", r=1.47, c=-1.47, a=-7.7, b=6.4, xtol=0.03, maxiter=100)
-@example(kind="wiggle", r=0.91, c=-0.18, a=-3.0, b=5.3, xtol=0.1, maxiter=100)
-def test_brentq_is_scipys_brentq_bit_for_bit(kind, r, c, a, b, xtol, maxiter):
-    f = _BRENT_FUNCTIONS[kind](r, c)
-    fa, fb = f(a), f(b)
-    assume(fa == 0.0 or fb == 0.0 or math.copysign(1.0, fa) != math.copysign(1.0, fb))
-    got, want = _brent_pair(f, a, b, xtol, maxiter)
-    assert got.hex() == want.hex()
-
-
-@pytest.mark.parametrize("kind", sorted(_BRENT_FUNCTIONS))
-@pytest.mark.parametrize("a, b", [(-1.25, 2.0), (2.0, -1.25), (0.5, 2.0), (-1.25, 0.5)])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_brentq_endpoints_and_sign_orders(kind, a, b, sign):
-    """Both orders of the bracket and of the sign change, and a root at either
-    endpoint (``r = 0.5``), which is returned as it is."""
-    g = _BRENT_FUNCTIONS[kind](0.5, 1.3)
-    f = lambda x: sign * g(x)
-    got, want = _brent_pair(f, a, b, 1e-10)
-    assert got.hex() == want.hex()
-    if 0.5 in (a, b):
-        assert got == 0.5
-
-
-def test_brentq_out_of_iterations_raises_with_best():
-    f = _BRENT_FUNCTIONS["wiggle"](0.3, 1.1)
-    with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as err:
-        gest._brentq(f, -4.0, 5.0, 1e-12, maxiter=3)
-    want, info = optimize.brentq(f, -4.0, 5.0, xtol=1e-12, maxiter=3, full_output=True, disp=False)
-    assert not info.converged and err.value.best == want
-    assert gest._brentq(f, -4.0, 5.0, 1e-12) == optimize.brentq(f, -4.0, 5.0, xtol=1e-12)
-
-
-def test_brentq_without_a_sign_change_is_a_bracket_error():
-    with pytest.raises(BracketError, match="no sign change"):
-        gest._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
-
-
 def _reference_rank_margin(F, G):
     """The smallest singular value of the standardized ``[F | G]`` over
     ``np.linalg.matrix_rank``'s threshold, from the full n-row SVD."""
@@ -406,6 +334,46 @@ class TestSandwich:
         )
         with pytest.raises(WeakIdentificationError):
             gest.sandwich_variance(cohort, spec, (0.0, 0.0, 0.0))
+
+
+@functools.cache
+def _slope_cohort():
+    return dgp.sample_cohort(make_config(), 300, seed=5)
+
+
+SLOPE_FEATURES = {
+    "identity": gest.GFeature(),
+    "powers 2": gest.GFeature(powers=2),
+    "powers 3": gest.GFeature(powers=3),
+    "clip": gest.GFeature(clip=(0.3, 4.0)),
+    "log": gest.GFeature(log=True),
+    "clip and log": gest.GFeature(clip=(0.3, 4.0), log=True),
+    "knots": gest.GFeature(knots=(0.8, 2.5)),
+}
+
+
+def _central_difference(f, x, h):
+    """The derivative of ``f`` at ``x`` along each axis, stacked last, by central differences of step ``h``."""
+    return np.stack([(f(x + e) - f(x - e)) / (2.0 * h) for e in h * np.eye(len(x))], axis=-1)
+
+
+@given(g=st.sampled_from(sorted(SLOPE_FEATURES)), psi=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_closed_form_slope_matches_central_differences(g, psi):
+    """``BlipTable.t0_slope`` and ``_slope`` against central differences on all
+    three components, at points where no subject's ``t0`` crosses a clip bound
+    or a knot within the differences (``t0`` rises in each component)."""
+    spec = gest.TreatmentModelSpec(g=SLOPE_FEATURES[g], components=(0, 1, 2))
+    data, psi, h = gest._GestData(_slope_cohort(), spec), np.asarray(psi), 1e-5
+    blip = data.blip
+    lo, hi = blip.t0(psi - h), blip.t0(psi + h)
+    assume(not any(np.any((lo <= kink) & (kink <= hi)) for kink in (*(spec.g.clip or ()), *spec.g.knots)))
+    t0, dt0 = blip.t0(psi), blip.t0_slope(psi)
+    assert np.all(np.abs(dt0 - _central_difference(blip.t0, psi, h)) <= 1e-8 * (np.abs(dt0) + t0[:, None]))
+    # each entry against the sum of the absolute values of the terms it adds
+    size = np.abs(spec.g.slope(t0) * data.null_fit.R[:, None]).T @ np.abs(dt0) / data.n_subjects
+    want = _central_difference(lambda x: gest._mean_score(data, x), psi, h)
+    assert np.all(np.abs(gest._slope(data, psi) - want) <= 1e-7 * size)
 
 
 def _newton_from_scratch(X, y):

@@ -418,6 +418,48 @@ def test_constructors_reject_what_the_readers_reject(build, field):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: gest.TreatmentModelSpec(components=(0.5,)), "components"),
+        (lambda: gest.TreatmentModelSpec(components=(True,)), "components"),
+        (lambda: gest.GFeature(powers=1.5), "powers"),
+        (lambda: gest.GFeature(powers=True), "powers"),
+        (lambda: gest.GFeature(clip=(1.0,)), "clip"),
+        (lambda: gest.GFeature(clip=(1.0, "2")), "clip"),
+        (lambda: gest.GFeature(clip=(0.5, math.inf)), "clip"),
+        (lambda: gest.GFeature(knots=(1, "2")), "knots"),
+    ],
+)
+def test_constructors_check_python_api_types(build, field):
+    """What the JSON reader rejects as a shape error, the constructors reject
+    as a field error when the Python API passes it in."""
+    with pytest.raises(SnftmError, match=f"field '{field}' must be"):
+        build()
+
+
+def test_sidecar_grid_errors_name_the_sidecar(tmp_path, capsys):
+    from snftm import cli
+
+    p = _write(tmp_path, ["0,0,0.0,0,0,", "0,1,,,,0.5"], {"taus": [0.5, 1.0]})
+    with pytest.raises(CohortFormatError, match=r"x\.csv\.json: field 'taus' must be 0\.0 then"):
+        io.read_cohort(p)
+    assert cli.main(["gtest", "--cohort", str(p), "--spec", str(CONFIGS / "treatment_model.json")]) == 1
+    err = capsys.readouterr().err
+    assert "x.csv.json: field 'taus'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"taus": [0.5, 1.0]}, "taus"),
+    ({"baseline": {"bounds": [0.0, 2.0, 1.0], "rates": [0.5, 0.4, 0.3]}}, "bounds"),
+    ({"baseline": {"bounds": [0.5], "rates": [1.0]}}, "baseline"),
+    ({"thresholds": [2.0, 1.0]}, "thresholds"),
+])
+def test_world_config_value_errors_name_the_document(rich_config, change, field):
+    with pytest.raises(CohortFormatError, match=f"^world config: field '{field}' must"):
+        io.dgp_config_from_dict({**io.dgp_config_to_dict(rich_config), **change})
+
+
 @pytest.mark.parametrize("spec, field", [
     (lambda: gest.TreatmentModelSpec(f_terms=()), "f_terms"),
     (lambda: gest.TreatmentModelSpec(g=gest.GFeature(powers=0)), "powers"),
