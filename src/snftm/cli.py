@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-# gest and mle are imported by the commands that run them; mle loads scipy
+# gest and mle are imported by the commands that run them; no command loads scipy
 from . import cfsim as cfsim_mod
 from . import dgp as dgp_mod
 from . import gcomp as gcomp_mod

@@ -247,15 +247,24 @@ class _GestData:
         self.n_subjects = len(cohort)
         self.event_times = cohort.event_times
         self._cohort = cohort
+        self._t0_memo = (None, None)
 
     @cached_property
     def blip(self) -> BlipTable:
         return BlipTable.from_cohort(self._cohort)
 
+    def t0(self, psi) -> np.ndarray:
+        """``blip.t0(psi)``, kept read-only for the last ``psi``: the slope asks where the score just did."""
+        psi = np.asarray(psi, dtype=float)
+        if self._t0_memo[0] != psi.tobytes():
+            self._t0_memo = (psi.tobytes(), self.blip.t0(psi))
+            self._t0_memo[1].flags.writeable = False
+        return self._t0_memo[1]
+
     def g_columns(self, psi: np.ndarray | None) -> np.ndarray:
         """The augmentation columns at ``psi``, one row per subject; ``None`` means
         the identity shift, which by construction never evaluates a shift map."""
-        return self.spec.g.design(self.event_times if psi is None else self.blip.t0(np.asarray(psi, dtype=float)))
+        return self.spec.g.design(self.event_times if psi is None else self.t0(psi))
 
     @cached_property
     def history(self) -> _HistoryBlock:
@@ -536,9 +545,9 @@ def _mean_score(data: _GestData, active) -> np.ndarray:
 def _slope(data: _GestData, active) -> np.ndarray:
     """Jacobian of ``_mean_score`` in the free components, in closed form:
     ``G'(t0)^T R / n`` times ``d t0 / d psi``."""
-    psi, blip = data.spec.embed(active), data.blip
-    dG = data.spec.g.slope(blip.t0(psi)) * data.null_fit.R[:, None]
-    return dG.T @ blip.t0_slope(psi)[:, list(data.spec.components)] / data.n_subjects
+    psi = data.spec.embed(active)
+    dG = data.spec.g.slope(data.t0(psi)) * data.null_fit.R[:, None]
+    return dG.T @ data.blip.t0_slope(psi)[:, list(data.spec.components)] / data.n_subjects
 
 
 def _newton_in_bracket(f, df, a: float, b: float, fa: float, fb: float) -> float:

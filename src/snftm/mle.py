@@ -17,10 +17,10 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .core import (
     Cohort,
@@ -94,9 +94,7 @@ def log_density(model: ParametricModel, traj: Trajectory) -> float:
     grid = model.grid
     p = grid.interval_index(traj.event_time)
     if traj.n_visits != p + 1:
-        raise StructuralZeroError(
-            f"record has {traj.n_visits} visits but the event time implies {p + 1}"
-        )
+        raise StructuralZeroError(f"record has {traj.n_visits} visits but the event time implies {p + 1}")
     shift_model = ShiftModel(model.psi, grid)
     t0 = blip_down(shift_model, traj)
     log_jac = math.log(gamma_deriv(shift_model, p, traj.covariates, traj.treatments, traj.event_time))
@@ -157,6 +155,8 @@ class _ProfileTables:
         self.row_history = history[cohort.subject[rows]]
         slot = row_cell[rows] * (self.n_bins * self.max_level) + cohort.l[rows]
         self.slot = (slot[:, None] + np.arange(self.n_bins) * self.max_level).ravel()
+        # ``i log i`` for every count a cell can hold, on libm's log (numpy's differs in the last bit)
+        self.xlogx = np.array([0.0] + [i * math.log(i) for i in range(1, self.n + 1)])
 
     def profile(self, psi: np.ndarray):
         """Profile log-likelihood at ``psi`` plus the maximizing nuisances."""
@@ -168,7 +168,8 @@ class _ProfileTables:
         persontime = np.maximum(np.minimum(t0, self.upper[:, None]) - self.bounds[:, None], 0.0).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(persontime > 0.0, events / np.maximum(persontime, 1e-300), 0.0)
-        ll_base = float(special.xlogy(events, rates).sum()) - float(events.sum())
+        piece_ll = np.array([_xlogy(e, r) for e, r in zip(events.tolist(), rates.tolist())])
+        ll_base = float(piece_ll.sum()) - float(events.sum())
 
         history_bin = self.history_top_bin - (t0 <= self.bins[:, None]).sum(axis=0)
         per_history = np.bincount(history_bin, minlength=self.n_histories * self.n_bins)
@@ -176,9 +177,17 @@ class _ProfileTables:
                              minlength=len(self.cells) * self.n_bins * self.max_level)
         grouped = counts.reshape(-1, self.max_level)
         totals = grouped.sum(axis=1)
-        ll_cov = float(special.xlogy(grouped, grouped).sum() - special.xlogy(totals, totals).sum())
+        ll_cov = float(self.xlogx[grouped.astype(np.intp)].sum() - self.xlogx[totals.astype(np.intp)].sum())
 
         return log_jac + ll_base + ll_cov, rates, grouped
+
+
+def _xlogy(x: float, y: float) -> float:
+    """``x log y`` by scipy's ``xlogy`` rules on libm's log: 0 where ``x`` is 0, and
+    ``-inf`` where events meet no person-time (a NaN ``t0`` at an extreme psi)."""
+    if x == 0.0:
+        return 0.0
+    return x * math.log(y) if y > 0.0 else -math.inf
 
 
 def _quadratic_surface(f, x0, w):
@@ -193,9 +202,7 @@ def _quadratic_surface(f, x0, w):
     x0 = np.asarray(x0, dtype=float)
     d = len(x0)
     w = np.broadcast_to(np.asarray(w, dtype=float), (d,))
-    pts = np.array(
-        [x0 + w * np.array(s) for s in itertools.product((-1.0, 0.0, 1.0), repeat=d)]
-    )
+    pts = np.array([x0 + w * np.array(s) for s in itertools.product((-1.0, 0.0, 1.0), repeat=d)])
     vals = np.array([f(p) for p in pts])
     dx = pts - x0
     cols = (
@@ -231,9 +238,7 @@ def _observed_information(neg, x0):
         grad, hess = _quadratic_surface(neg, x0, wider)
     eigvals = np.linalg.eigvalsh(hess)
     if np.any(eigvals <= 0.0):
-        raise NonIdentifiableError(
-            f"observed information is not positive definite (eigenvalues {eigvals})"
-        )
+        raise NonIdentifiableError(f"observed information is not positive definite (eigenvalues {eigvals})")
     return grad, hess
 
 
@@ -245,19 +250,66 @@ def _simplex(x0, edge):
     return s
 
 
-def _staged_nelder_mead(neg, start, max_evals):
-    from scipy import optimize  # deferred: the model types need only scipy.special
+def _nelder_mead(f, simplex, xatol, fatol, maxfev):
+    """Minimize ``f`` from the ``(d + 1, d)`` ``simplex`` in at most ``maxfev`` calls:
+    scipy 1.17's Nelder-Mead without bounds or adaptive coefficients, step for step
+    (the same stop test, arithmetic and ``argsort``), so it gives scipy's bits.  A
+    call past the budget is not made and its iteration stops there, mid-shrink too."""
+    sim = np.array(simplex, dtype=float)
+    d = sim.shape[1]
+    fsim = np.full(d + 1, np.inf)
+    nfev = 0
 
-    coarse = optimize.minimize(
-        neg, start, method="Nelder-Mead",
-        options={"initial_simplex": _simplex(start, 0.35), "xatol": 1e-7,
-                 "fatol": 1e-12, "maxfev": max_evals // 2},
-    )
-    refine = optimize.minimize(
-        neg, coarse.x, method="Nelder-Mead",
-        options={"initial_simplex": _simplex(coarse.x, 0.04), "xatol": 1e-7,
-                 "fatol": 1e-12, "maxfev": max_evals // 2},
-    )
+    def call(x):  # None once the budget is spent
+        nonlocal nfev
+        if nfev == maxfev:
+            return None
+        nfev += 1
+        return f(np.copy(x))
+
+    def sort():
+        order = np.argsort(fsim)
+        sim[:], fsim[:] = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    def iterate():
+        xbar = np.add.reduce(sim[:-1], 0) / d
+        xr = 2 * xbar - sim[-1]  # reflect
+        fxr = call(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expand
+            if (fxe := call(xe)) is not None:
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            return
+        if fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+            return
+        outside = fxr < fsim[-1]  # contract outside or inside, else shrink toward the best vertex
+        xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+        if (fxc := call(xc)) is None:
+            return
+        if fxc <= fxr if outside else fxc < fsim[-1]:
+            sim[-1], fsim[-1] = xc, fxc
+            return
+        for j in range(1, d + 1):
+            sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+            if (fx := call(sim[j])) is None:
+                return
+            fsim[j] = fx
+
+    for k in range(min(d + 1, maxfev)):
+        fsim[k] = call(sim[k])
+    sort()
+    sort()
+    while nfev < maxfev and not (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        iterate()
+        sort()
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < maxfev)
+
+
+def _staged_nelder_mead(neg, start, max_evals):
+    coarse = _nelder_mead(neg, _simplex(start, 0.35), 1e-7, 1e-12, max_evals // 2)
+    refine = _nelder_mead(neg, _simplex(coarse.x, 0.04), 1e-7, 1e-12, max_evals // 2)
     best = refine if refine.fun <= coarse.fun else coarse
     best.stages = tuple({"stage": name, "nfev": int(res.nfev), "success": bool(res.success)}
                         for name, res in (("coarse", coarse), ("refine", refine)))
@@ -273,12 +325,7 @@ def _finalize_model(model: ParametricModel, tables: _ProfileTables, psi, rates, 
             row = probs[ci * tables.n_bins + b]
             if row.sum() > 0.0:
                 cov_probs[key + (b,)] = tuple(row)
-    return replace(
-        model,
-        psi=ShiftParams(tuple(psi)),
-        baseline_rates=tuple(rates),
-        covariate_probs=cov_probs,
-    )
+    return replace(model, psi=ShiftParams(tuple(psi)), baseline_rates=tuple(rates), covariate_probs=cov_probs)
 
 
 @dataclass(frozen=True)

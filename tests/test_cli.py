@@ -136,7 +136,7 @@ def _loaded_under(package, code, cwd=None) -> list[str]:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    for module in ("snftm.cli", "snftm.io", "snftm.gest"):
+    for module in ("snftm.cli", "snftm.io", "snftm.gest", "snftm.mle"):
         assert _loaded_under("scipy", f"import {module}") == [], module
 
 
@@ -174,6 +174,7 @@ COHORT = "<cohort>"
          "scipy"),
         (("estimate", "--cohort", COHORT, "--spec", CONFIGS / "treatment_model.json", "--box=-1.5:0.5",
           "--out", "e.json"), "scipy"),
+        (("mle", "--cohort", COHORT, "--model", CONFIGS / "mle_model.json", "--out", "f.json"), "scipy"),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, small_cohort, argv, unloaded):

@@ -21,7 +21,7 @@ from snftm.core import (
     Trajectory,
     WeakIdentificationError,
 )
-from snftm.shift import ShiftParams
+from snftm.shift import BlipTable, ShiftParams
 
 from conftest import make_config
 
@@ -374,6 +374,22 @@ def test_closed_form_slope_matches_central_differences(g, psi):
     size = np.abs(spec.g.slope(t0) * data.null_fit.R[:, None]).T @ np.abs(dt0) / data.n_subjects
     want = _central_difference(lambda x: gest._mean_score(data, x), psi, h)
     assert np.all(np.abs(gest._slope(data, psi) - want) <= 1e-7 * size)
+
+
+def test_slope_reuses_the_t0_of_the_point_just_scored(monkeypatch):
+    """``_slope`` after ``_mean_score``, and after ``_sandwich``'s estimating
+    function, at the same point: one ``t0`` per point, shared read-only, and
+    the slope keeps the bits of a slope on fresh data."""
+    spec = gest.TreatmentModelSpec(g=gest.GFeature(powers=2), components=(0, 2))
+    data, active = gest._GestData(_slope_cohort(), spec), np.array([-0.3, 0.2])
+    fresh = gest._slope(gest._GestData(_slope_cohort(), spec), active)
+    t0, points = BlipTable.t0, []
+    monkeypatch.setattr(BlipTable, "t0", lambda self, psi: points.append(psi.tolist()) or t0(self, psi))
+    gest._mean_score(data, active)
+    assert np.array_equal(gest._slope(data, active), fresh) and points == [[-0.3, 0.0, 0.2]]
+    gest._sandwich(data, (0.1, 0.0, 0.2))
+    assert points[1:] == [[0.1, 0.0, 0.2]]
+    assert not data.t0(spec.embed(active + 0.1)).flags.writeable and len(points) == 3
 
 
 def _newton_from_scratch(X, y):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 from snftm import dgp, mle, oracle
 from snftm.core import (
@@ -18,7 +18,7 @@ from snftm.core import (
 from snftm.shift import ShiftParams
 
 from conftest import RICH_PSI, make_smooth_null_config
-from test_index import _ReferenceProfile
+from test_index import _ReferenceProfile, _reference_profile
 
 
 def model_at_truth(cfg) -> mle.ParametricModel:
@@ -274,3 +274,58 @@ def test_diagnostics_account_for_every_evaluation(rich_config, monkeypatch):
 def test_template_rejects_unsorted_breakpoints(rich_config, bounds, bins, field):
     with pytest.raises(ValueError, match=field):
         mle.ParametricModel.template(rich_config.grid, bounds, bins)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _terraces(x):
+    """Flat steps: ties in every sort, and a shrink in most iterations near the bottom."""
+    return float(np.floor(2.0 * np.sum((x - 0.3) ** 2)))
+
+
+def _walled(x):
+    """Rosenbrock cut off by ``inf`` past its minimum and by NaN at the start vertex."""
+    if x[0] > 0.9:
+        return math.inf
+    return math.nan if x[1] < -0.1 else _rosenbrock(x)
+
+
+@pytest.mark.parametrize("f", [_rosenbrock, _terraces, _walled])
+def test_nelder_mead_is_scipys_to_the_bit(f):
+    """Every budget up to 60 calls, then the full run and the budgets around it.  The
+    first 3 budgets end inside the initial simplex, later ones mid-iteration, and
+    ``_terraces`` ends mid-shrink (budgets 16 and 17, among others)."""
+    simplex = mle._simplex(np.array([-1.2, -0.2, 0.8]), 0.35)
+
+    def scipys(maxfev):
+        options = {"initial_simplex": simplex, "xatol": 1e-7, "fatol": 1e-12, "maxfev": maxfev}
+        return optimize.minimize(f, simplex[0], method="Nelder-Mead", options=options)
+
+    full = scipys(2000).nfev
+    for maxfev in [*range(1, 61), full - 1, full, full + 1, 2000]:
+        with np.errstate(invalid="ignore"):  # inf - inf in the stop test
+            want = scipys(maxfev)
+            got = mle._nelder_mead(f, simplex, 1e-7, 1e-12, maxfev)
+        assert got.x.tobytes() == want.x.tobytes(), maxfev
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes(), maxfev
+        assert (got.nfev, got.success) == (want.nfev, want.success), maxfev
+
+
+def test_xlogy_on_libm_is_scipys(rich_config):
+    """The count table and the per-piece helper give ``special.xlogy``'s bits:
+    on zero counts, on every count up to 20,000, and ``-inf`` for events at a
+    zero rate, which a NaN ``t0`` at an extreme psi reaches."""
+    cohort = dgp.sample_cohort(rich_config, 20_000, seed=5)
+    template = mle.ParametricModel.template(rich_config.grid, (0.0, 1.0, 2.0), (1.5,))
+    tables = mle._ProfileTables(cohort, template)
+    counts = np.arange(20_001.0)
+    assert tables.xlogx.tobytes() == special.xlogy(counts, counts).tobytes()
+    pairs = [(0.0, 0.0), (0.0, 2.5), (3.0, 0.0), (1.0, 1e-300), (7.0, 0.37), (412.0, 1.7e3), (1.0, math.inf)]
+    for x, y in pairs:
+        assert np.float64(mle._xlogy(x, y)).tobytes() == np.float64(special.xlogy(x, y)).tobytes(), (x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.array([800.0, 0.0, 0.0])
+        assert np.all(np.isnan(tables.blip.t0(psi)))
+        assert tables.profile(psi)[0] == _reference_profile(cohort, template, psi)[0] == -math.inf
